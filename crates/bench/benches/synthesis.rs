@@ -7,7 +7,7 @@ use clapped_accel::{build_datapath, characterize, simulate_stream, AcceleratorSp
 use clapped_axops::Catalog;
 use clapped_imgproc::{Image, QuantKernel, SynthKind};
 use clapped_netlist::bdd::check_equivalence;
-use clapped_netlist::{map_luts, optimize, synthesize, MapStrategy, SynthConfig};
+use clapped_netlist::{estimate_power, map_luts, optimize, synthesize, MapStrategy, SynthConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_netlist_flow(c: &mut Criterion) {
@@ -38,6 +38,31 @@ fn bench_accelerator_characterization(c: &mut Criterion) {
     c.bench_function("characterize_3x3_true", |b| {
         b.iter(|| characterize(black_box(&spec), &cfg).expect("flow"))
     });
+}
+
+/// Mapping and power on the all-exact 3×3 2-D datapath, the largest
+/// point of the design space (the benchmark's `stage.twod3` row).
+fn bench_datapath_synthesis(c: &mut Criterion) {
+    let catalog = Catalog::standard();
+    let exact = catalog.at(0).expect("non-empty catalog");
+    let cfg = CharacterizeConfig::default();
+    let spec = AcceleratorSpec::uniform_2d(32, 3, &exact);
+    let opt = optimize(&build_datapath(&spec, cfg.shift).expect("valid spec"));
+    c.bench_function("map_luts_twod3_depth", |b| {
+        b.iter(|| map_luts(black_box(&opt), 6, MapStrategy::Depth).expect("mappable"))
+    });
+    c.bench_function("map_luts_twod3_area", |b| {
+        b.iter(|| map_luts(black_box(&opt), 6, MapStrategy::Area).expect("mappable"))
+    });
+    for (name, strategy) in [
+        ("estimate_power_twod3_depth", MapStrategy::Depth),
+        ("estimate_power_twod3_area", MapStrategy::Area),
+    ] {
+        let mapped = map_luts(&opt, 6, strategy).expect("mappable");
+        c.bench_function(name, |b| {
+            b.iter(|| estimate_power(black_box(&mapped), &cfg.synth.power).expect("power"))
+        });
+    }
 }
 
 fn bench_verification(c: &mut Criterion) {
@@ -75,6 +100,7 @@ fn bench_verification(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_netlist_flow, bench_accelerator_characterization, bench_verification
+    targets = bench_netlist_flow, bench_accelerator_characterization, bench_datapath_synthesis,
+        bench_verification
 }
 criterion_main!(benches);

@@ -90,6 +90,28 @@ pub enum NetlistError {
     },
     /// Functional verification after mapping failed.
     MappingMismatch,
+    /// A mapped LUT reads a signal that no primary input, constant or
+    /// earlier LUT of the network defines.
+    UndefinedLutInput {
+        /// Root of the offending LUT.
+        root: SignalId,
+        /// The undefined input signal.
+        input: SignalId,
+    },
+    /// A mapped LUT has more inputs than the six the evaluator supports.
+    LutTooWide {
+        /// Root of the offending LUT.
+        root: SignalId,
+        /// Its number of inputs.
+        inputs: usize,
+    },
+    /// A mapped output names a signal the LUT network does not define.
+    UnknownOutput {
+        /// Name of the output.
+        name: String,
+        /// The undefined signal.
+        signal: SignalId,
+    },
     /// A BDD operation exceeded its node budget.
     BddLimit {
         /// The configured node limit.
@@ -123,6 +145,15 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::MappingMismatch => {
                 write!(f, "mapped netlist is not functionally equivalent")
+            }
+            NetlistError::UndefinedLutInput { root, input } => {
+                write!(f, "LUT {root:?} reads {input:?} before it is defined")
+            }
+            NetlistError::LutTooWide { root, inputs } => {
+                write!(f, "LUT {root:?} has {inputs} inputs, more than 6")
+            }
+            NetlistError::UnknownOutput { name, signal } => {
+                write!(f, "output {name:?} names undefined signal {signal:?}")
             }
             NetlistError::BddLimit { limit } => {
                 write!(f, "BDD node budget of {limit} exhausted")

@@ -5,17 +5,26 @@
 //! (depth-oriented or area-oriented), and covers the netlist from its
 //! outputs. Each selected cut becomes one K-input LUT whose truth table is
 //! extracted by simulating the cut's cone.
+//!
+//! A mapped network is evaluated by lowering it to a dense LUT program
+//! ([`LutProgram`]): LUTs in topological order reading `u32` slot indices
+//! of a flat word buffer, each evaluated over all lanes at once by a
+//! word-level Shannon expansion of its truth table.
 
-// lint-allow-file(no-silent-truncation): cut leaves store gate indices
-// as u32; every cast round-trips a `SignalId(u32)` index through usize,
-// so the value always fits.
+// lint-allow-file(no-silent-truncation): cut leaves and program slots
+// are u32; leaves round-trip a `SignalId(u32)` index through usize and
+// slots number the inputs, two constants and the LUTs of one mapping,
+// so every value always fits.
 
 use crate::ir::{Gate, Netlist, SignalId};
 use crate::NetlistError;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Maximum number of cuts kept per node (priority cuts).
 const MAX_CUTS: usize = 12;
+
+/// Largest LUT (and cut) size the mapper and the evaluator support.
+const MAX_LUT_INPUTS: usize = 6;
 
 /// Cut selection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -67,51 +76,77 @@ impl MappedNetlist {
         self.luts.len()
     }
 
-    /// Evaluates the LUT network for 64 parallel lanes.
+    /// Lowers the LUT network to a dense [`LutProgram`].
     ///
-    /// `input_words[k]` drives the k-th primary input. Returns the values
-    /// of every signal that the mapping defines (primary inputs, constants
-    /// and LUT roots), keyed by source-netlist signal id.
+    /// Signals are defined in order: primary inputs, constants, then each
+    /// LUT root; a later definition of the same signal shadows an earlier
+    /// one for every reader after it.
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::InputCountMismatch`] on input arity mismatch.
-    // lint-allow(hash-containers): keyed scratch/result values; callers look up by SignalId, never iterate
-    pub fn eval_words(&self, input_words: &[u64]) -> crate::Result<HashMap<SignalId, u64>> {
-        if input_words.len() != self.inputs.len() {
-            return Err(NetlistError::InputCountMismatch {
-                expected: self.inputs.len(),
-                found: input_words.len(),
-            });
+    /// - [`NetlistError::LutTooWide`] if a LUT has more than six inputs;
+    /// - [`NetlistError::UndefinedLutInput`] if a LUT reads a signal that
+    ///   no input, constant or earlier LUT defines;
+    /// - [`NetlistError::UnknownOutput`] if an output names a signal the
+    ///   network does not define.
+    pub(crate) fn program(&self) -> crate::Result<LutProgram> {
+        let defined = self
+            .inputs
+            .iter()
+            .chain(self.constants.keys())
+            .chain(self.luts.iter().map(|l| &l.root))
+            .map(|s| s.index() + 1)
+            .max()
+            .unwrap_or(0);
+        // Signal index -> slot; `u32::MAX` marks an undefined signal.
+        let mut slot_of = vec![u32::MAX; defined];
+        let lookup = |slot_of: &[u32], s: SignalId| {
+            slot_of.get(s.index()).copied().filter(|&v| v != u32::MAX)
+        };
+        for (i, s) in self.inputs.iter().enumerate() {
+            slot_of[s.index()] = i as u32;
         }
-        // lint-allow(hash-containers): lookup-only value table, never iterated
-        let mut vals: HashMap<SignalId, u64> = HashMap::new();
-        for (&sig, &w) in self.inputs.iter().zip(input_words) {
-            vals.insert(sig, w);
+        let n_in = self.inputs.len();
+        for (s, &c) in &self.constants {
+            slot_of[s.index()] = (n_in + usize::from(c)) as u32;
         }
-        for (&sig, &c) in &self.constants {
-            vals.insert(sig, if c { u64::MAX } else { 0 });
-        }
-        for lut in &self.luts {
-            let mut out = 0u64;
-            // Evaluate per lane: build the truth-table index from input bits.
-            for lane in 0..64 {
-                let mut idx = 0usize;
-                for (j, inp) in lut.inputs.iter().enumerate() {
-                    let v = vals
-                        .get(inp)
-                        .expect("LUT inputs precede the LUT in topological order");
-                    if (v >> lane) & 1 == 1 {
-                        idx |= 1 << j;
-                    }
-                }
-                if (lut.truth >> idx) & 1 == 1 {
-                    out |= 1 << lane;
-                }
+        let mut luts = Vec::with_capacity(self.luts.len());
+        for (i, lut) in self.luts.iter().enumerate() {
+            if lut.inputs.len() > MAX_LUT_INPUTS {
+                return Err(NetlistError::LutTooWide {
+                    root: lut.root,
+                    inputs: lut.inputs.len(),
+                });
             }
-            vals.insert(lut.root, out);
+            let mut fanin = [0u32; MAX_LUT_INPUTS];
+            for (f, &input) in fanin.iter_mut().zip(&lut.inputs) {
+                *f = lookup(&slot_of, input).ok_or(NetlistError::UndefinedLutInput {
+                    root: lut.root,
+                    input,
+                })?;
+            }
+            luts.push(DenseLut {
+                fanin,
+                arity: lut.inputs.len(),
+                truth: lut.truth,
+            });
+            slot_of[lut.root.index()] = (n_in + 2 + i) as u32;
         }
-        Ok(vals)
+        let outputs = self
+            .outputs
+            .iter()
+            .map(|(name, s)| {
+                lookup(&slot_of, *s).ok_or_else(|| NetlistError::UnknownOutput {
+                    name: name.clone(),
+                    signal: *s,
+                })
+            })
+            .collect::<crate::Result<Vec<u32>>>()?;
+        Ok(LutProgram {
+            inputs: n_in,
+            luts,
+            outputs,
+        })
     }
 
     /// Rebuilds the LUT network as a gate-level [`Netlist`] (each LUT
@@ -119,8 +154,7 @@ impl MappedNetlist {
     /// or formal equivalence checking against the original.
     pub fn to_netlist(&self, name: &str) -> Netlist {
         let mut n = Netlist::new(name);
-        // lint-allow(hash-containers): old-id -> new-id lookup table, never iterated
-        let mut map: HashMap<SignalId, SignalId> = HashMap::new();
+        let mut map: BTreeMap<SignalId, SignalId> = BTreeMap::new();
         for (i, &orig) in self.inputs.iter().enumerate() {
             let id = n.input(format!("pi{i}"));
             map.insert(orig, id);
@@ -149,14 +183,187 @@ impl MappedNetlist {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::InputCountMismatch`] on input arity mismatch.
+    /// Returns [`NetlistError::InputCountMismatch`] on input arity
+    /// mismatch, and the lowering errors of a malformed network (see
+    /// [`NetlistError::LutTooWide`], [`NetlistError::UndefinedLutInput`]
+    /// and [`NetlistError::UnknownOutput`]).
     pub fn simulate_words(&self, input_words: &[u64]) -> crate::Result<Vec<u64>> {
-        let vals = self.eval_words(input_words)?;
-        Ok(self
+        if input_words.len() != self.inputs.len() {
+            return Err(NetlistError::InputCountMismatch {
+                expected: self.inputs.len(),
+                found: input_words.len(),
+            });
+        }
+        let program = self.program()?;
+        let mut buf = vec![[0u64; 1]; program.slots()];
+        for (slot, &w) in buf.iter_mut().zip(input_words) {
+            *slot = [w];
+        }
+        program.run(&mut buf);
+        Ok(program
             .outputs
             .iter()
-            .map(|(_, s)| *vals.get(s).expect("outputs are mapped or primary"))
+            .map(|&s| buf[s as usize][0])
             .collect())
+    }
+}
+
+/// One LUT of a [`LutProgram`].
+#[derive(Debug)]
+pub(crate) struct DenseLut {
+    /// Slots of the LUT inputs; the first `arity` are used.
+    pub(crate) fanin: [u32; MAX_LUT_INPUTS],
+    /// Number of LUT inputs (0..=6).
+    pub(crate) arity: usize,
+    /// Truth table; bits at and above `1 << arity` are ignored.
+    pub(crate) truth: u64,
+}
+
+/// A mapped netlist lowered for word-parallel evaluation.
+///
+/// Values live in a flat buffer of `[u64; W]` slots (64·W lanes each):
+/// slots `0..inputs` hold the primary inputs, the next two the constants
+/// 0 and 1, and LUT `i` writes slot `inputs + 2 + i`. LUTs are stored in
+/// topological order and read only earlier slots.
+#[derive(Debug)]
+pub(crate) struct LutProgram {
+    /// Number of primary inputs.
+    pub(crate) inputs: usize,
+    /// LUTs in evaluation order.
+    pub(crate) luts: Vec<DenseLut>,
+    /// Slot of each primary output.
+    pub(crate) outputs: Vec<u32>,
+}
+
+impl LutProgram {
+    /// Number of buffer slots [`LutProgram::run`] uses.
+    pub(crate) fn slots(&self) -> usize {
+        self.lut_base() + self.luts.len()
+    }
+
+    /// Slot of the first LUT output.
+    pub(crate) fn lut_base(&self) -> usize {
+        self.inputs + 2
+    }
+
+    /// Evaluates every LUT over all 64·W lanes. `buf` must hold
+    /// [`LutProgram::slots`] slots with the primary inputs already in
+    /// `buf[..inputs]`; the constant and LUT slots are overwritten.
+    pub(crate) fn run<const W: usize>(&self, buf: &mut [[u64; W]]) {
+        let base = self.lut_base();
+        buf[self.inputs] = [0; W];
+        buf[self.inputs + 1] = [u64::MAX; W];
+        // Cofactor scratch: a LUT6's first Shannon level has 32 entries.
+        let mut scratch = [[0u64; W]; 1 << (MAX_LUT_INPUTS - 1)];
+        for (i, lut) in self.luts.iter().enumerate() {
+            buf[base + i] = eval_lut(lut, buf, &mut scratch);
+        }
+    }
+}
+
+/// Evaluates one LUT by Shannon expansion of its truth table, one input
+/// at a time from input 0: each level muxes adjacent cofactor pairs as
+/// `f ^ ((f ^ t) & x)`, `2^arity - 1` word muxes in total.
+fn eval_lut<const W: usize>(
+    lut: &DenseLut,
+    buf: &[[u64; W]],
+    s: &mut [[u64; W]; 1 << (MAX_LUT_INPUTS - 1)],
+) -> [u64; W] {
+    let n = lut.arity;
+    let bit = |i: usize| 0u64.wrapping_sub((lut.truth >> i) & 1);
+    if n == 0 {
+        return [bit(0); W];
+    }
+    let x = &buf[lut.fanin[0] as usize];
+    for i in 0..1 << (n - 1) {
+        let f = bit(2 * i);
+        let d = f ^ bit(2 * i + 1);
+        for w in 0..W {
+            s[i][w] = f ^ (d & x[w]);
+        }
+    }
+    for j in 1..n {
+        let x = &buf[lut.fanin[j] as usize];
+        for i in 0..1 << (n - 1 - j) {
+            let mut o = [0u64; W];
+            for w in 0..W {
+                let f = s[2 * i][w];
+                o[w] = f ^ ((f ^ s[2 * i + 1][w]) & x[w]);
+            }
+            s[i] = o;
+        }
+    }
+    s[0]
+}
+
+/// A cut of at most six leaves, sorted ascending and zero-padded, with a
+/// 64-bit leaf signature (bit `leaf % 64` per leaf) for cheap rejects.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    leaves: [u32; MAX_LUT_INPUTS],
+    len: usize,
+    sig: u64,
+}
+
+impl Cut {
+    const EMPTY: Cut = Cut {
+        leaves: [0; MAX_LUT_INPUTS],
+        len: 0,
+        sig: 0,
+    };
+
+    fn trivial(leaf: u32) -> Cut {
+        let mut c = Cut::EMPTY;
+        c.leaves[0] = leaf;
+        c.len = 1;
+        c.sig = 1 << (leaf % 64);
+        c
+    }
+
+    fn leaves(&self) -> &[u32] {
+        &self.leaves[..self.len]
+    }
+
+    /// The sorted union of two cuts, or `None` if it has more than `k`
+    /// leaves.
+    fn union(&self, other: &Cut, k: usize) -> Option<Cut> {
+        let sig = self.sig | other.sig;
+        // Distinct leaves set distinct-or-shared bits: the union has at
+        // least as many leaves as the signature has bits.
+        if sig.count_ones() as usize > k {
+            return None;
+        }
+        let (a, b) = (self.leaves(), other.leaves());
+        let mut out = Cut { sig, ..Cut::EMPTY };
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let leaf = if j == b.len() || (i < a.len() && a[i] < b[j]) {
+                i += 1;
+                a[i - 1]
+            } else if i == a.len() || b[j] < a[i] {
+                j += 1;
+                b[j - 1]
+            } else {
+                i += 1;
+                j += 1;
+                a[i - 1]
+            };
+            if out.len == k {
+                return None;
+            }
+            out.leaves[out.len] = leaf;
+            out.len += 1;
+        }
+        Some(out)
+    }
+
+    /// Whether every leaf of `other` is a leaf of `self`.
+    fn contains(&self, other: &Cut) -> bool {
+        other.sig & !self.sig == 0
+            && other
+                .leaves()
+                .iter()
+                .all(|l| self.leaves().binary_search(l).is_ok())
     }
 }
 
@@ -169,156 +376,162 @@ impl MappedNetlist {
 ///
 /// Returns [`NetlistError::Unmappable`] if a node has more than K
 /// structural fanins that cannot be decomposed (cannot happen for the
-/// gate library in this crate as long as `k >= 3`), and propagates
-/// simulation errors from truth-table extraction.
+/// gate library in this crate as long as `k >= 3`).
 ///
 /// # Panics
 ///
 /// Panics if `k` is not in `2..=6`.
 pub fn map_luts(netlist: &Netlist, k: usize, strategy: MapStrategy) -> crate::Result<MappedNetlist> {
-    assert!((2..=6).contains(&k), "LUT size must be between 2 and 6");
+    assert!((2..=MAX_LUT_INPUTS).contains(&k), "LUT size must be between 2 and 6");
     let n = netlist.len();
 
     // Leaves of the cut graph: primary inputs and constants.
     let is_ci = |g: &Gate| matches!(g, Gate::Input { .. } | Gate::Const(_));
 
-    // Cut enumeration in topological order.
-    let mut cuts: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
+    // Cut enumeration in topological order. Node `i`'s cuts are
+    // `pool[cut_range[i].0..cut_range[i].1]`.
+    let mut pool: Vec<Cut> = Vec::new();
+    let mut cut_range: Vec<(usize, usize)> = vec![(0, 0); n];
     let mut best_depth: Vec<u32> = vec![0; n];
-    let mut best_af: Vec<f64> = vec![0.0; n];
-    let mut best_cut: Vec<Option<Vec<u32>>> = vec![None; n];
+    // Area flow of each node's best cut per fanout (0 for inputs,
+    // constants and buffers).
+    let mut af_share: Vec<f64> = vec![0.0; n];
+    let mut best_cut: Vec<Option<Cut>> = vec![None; n];
     let fanout: Vec<u32> = netlist.fanout_counts();
+    // Per-node scratch, reused across nodes.
+    let mut merged: Vec<Cut> = Vec::new();
+    let mut next: Vec<Cut> = Vec::new();
+    let mut ranked: Vec<(u32, f64, Cut)> = Vec::new();
 
     for (idx, gate) in netlist.gates().iter().enumerate() {
+        let start = pool.len();
         if is_ci(gate) {
-            cuts[idx] = vec![vec![idx as u32]];
-            best_depth[idx] = 0;
+            pool.push(Cut::trivial(idx as u32));
+            cut_range[idx] = (start, pool.len());
             continue;
         }
         if let Gate::Buf(a) = gate {
             // Buffers are transparent: reuse the fanin's cuts.
-            cuts[idx] = cuts[a.index()].clone();
+            let (s, e) = cut_range[a.index()];
+            pool.extend_from_within(s..e);
             // Ensure the trivial cut names this node so fanouts can stop here.
-            cuts[idx].push(vec![idx as u32]);
+            pool.push(Cut::trivial(idx as u32));
+            cut_range[idx] = (start, pool.len());
             best_depth[idx] = best_depth[a.index()];
-            best_cut[idx] = best_cut[a.index()].clone();
-            if best_cut[idx].is_none() {
-                best_cut[idx] = Some(vec![a.index() as u32]);
-            }
+            best_cut[idx] = best_cut[a.index()].or(Some(Cut::trivial(a.index() as u32)));
             continue;
         }
-        let fanins: Vec<usize> = gate.fanins().map(SignalId::index).collect();
-        let mut merged: Vec<Vec<u32>> = vec![Vec::new()];
-        for &f in &fanins {
-            let mut next: Vec<Vec<u32>> = Vec::new();
+        // Cuts of the node: unions of one cut per fanin, reduced after
+        // each fanin to the minimal ones (a superset of another candidate
+        // only yields supersets downstream).
+        let mut fanins = gate.fanins();
+        merged.clear();
+        match fanins.next() {
+            // A fanin's cut list is already minimal.
+            Some(f) => {
+                let (s, e) = cut_range[f.index()];
+                merged.extend_from_slice(&pool[s..e]);
+            }
+            None => merged.push(Cut::EMPTY),
+        }
+        for f in fanins {
+            let (s, e) = cut_range[f.index()];
+            next.clear();
             for partial in &merged {
-                for fcut in &cuts[f] {
-                    let mut union = partial.clone();
-                    for &leaf in fcut {
-                        if let Err(pos) = union.binary_search(&leaf) {
-                            union.insert(pos, leaf);
-                        }
-                    }
-                    if union.len() <= k {
+                for fcut in &pool[s..e] {
+                    if let Some(union) = partial.union(fcut, k) {
                         next.push(union);
                     }
                 }
             }
-            next.sort();
-            next.dedup();
-            merged = next;
+            keep_minimal(&next, &mut merged, k);
             if merged.is_empty() {
                 break;
             }
         }
-        // Dominance pruning: remove cuts that are supersets of another cut.
-        merged = prune_dominated(merged);
-        // Rank and truncate.
-        let depth_of = |cut: &Vec<u32>| -> u32 {
-            cut.iter()
+        // Rank by (depth, area flow, size) keys computed once per cut.
+        // Area flow: estimated LUTs per fanout path through this cut.
+        ranked.clear();
+        ranked.extend(merged.iter().map(|cut| {
+            let depth = cut
+                .leaves()
+                .iter()
                 .map(|&l| best_depth[l as usize])
                 .max()
                 .unwrap_or(0)
-                + 1
-        };
-        // Area flow: estimated LUTs per fanout path through this cut.
-        let af_of = |cut: &Vec<u32>| -> f64 {
-            1.0 + cut
-                .iter()
-                .map(|&l| best_af[l as usize] / f64::from(fanout[l as usize].max(1)))
-                .sum::<f64>()
-        };
-        // Total order (f64::total_cmp) so a NaN area flow can never
-        // panic or produce an inconsistent sort.
+                + 1;
+            let af = 1.0
+                + cut
+                    .leaves()
+                    .iter()
+                    .map(|&l| af_share[l as usize])
+                    .sum::<f64>();
+            (depth, af, *cut)
+        }));
+        // Total order: the keys, then size, then the leaves
+        // lexicographically. `f64::total_cmp` so a NaN area flow can
+        // never panic or produce an inconsistent sort.
+        let tie = |a: &Cut, b: &Cut| a.len.cmp(&b.len).then_with(|| a.leaves().cmp(b.leaves()));
         match strategy {
-            MapStrategy::Depth => {
-                merged.sort_by(|a, b| {
-                    depth_of(a)
-                        .cmp(&depth_of(b))
-                        .then(af_of(a).total_cmp(&af_of(b)))
-                        .then(a.len().cmp(&b.len()))
-                });
-            }
-            MapStrategy::Area => {
-                merged.sort_by(|a, b| {
-                    af_of(a)
-                        .total_cmp(&af_of(b))
-                        .then(depth_of(a).cmp(&depth_of(b)))
-                        .then(a.len().cmp(&b.len()))
-                });
-            }
+            MapStrategy::Depth => ranked.sort_unstable_by(|a, b| {
+                a.0.cmp(&b.0)
+                    .then(a.1.total_cmp(&b.1))
+                    .then_with(|| tie(&a.2, &b.2))
+            }),
+            MapStrategy::Area => ranked.sort_unstable_by(|a, b| {
+                a.1.total_cmp(&b.1)
+                    .then(a.0.cmp(&b.0))
+                    .then_with(|| tie(&a.2, &b.2))
+            }),
         }
-        merged.truncate(MAX_CUTS);
-        if merged.is_empty() {
+        ranked.truncate(MAX_CUTS);
+        let Some(&(depth, af, cut)) = ranked.first() else {
             return Err(NetlistError::Unmappable {
                 node: SignalId(idx as u32),
             });
-        }
-        best_depth[idx] = depth_of(&merged[0]);
-        best_af[idx] = af_of(&merged[0]);
-        best_cut[idx] = Some(merged[0].clone());
+        };
+        best_depth[idx] = depth;
+        af_share[idx] = af / f64::from(fanout[idx].max(1));
+        best_cut[idx] = Some(cut);
+        pool.extend(ranked.iter().map(|r| r.2));
         // Expose the trivial cut to fanouts.
-        merged.push(vec![idx as u32]);
-        cuts[idx] = merged;
+        pool.push(Cut::trivial(idx as u32));
+        cut_range[idx] = (start, pool.len());
     }
 
     // Covering: walk back from outputs, instantiating LUTs for required
     // logic nodes.
     let mut required: Vec<u32> = Vec::new();
-    // lint-allow(hash-containers): membership test only, never iterated
-    let mut seen: HashSet<u32> = HashSet::new();
+    let mut seen = vec![false; n];
     for (_, sig) in netlist.outputs() {
         let root = resolve_buf(netlist, *sig);
-        if !is_ci(netlist.gate(root)) && seen.insert(root.0) {
+        if !is_ci(netlist.gate(root)) && !std::mem::replace(&mut seen[root.index()], true) {
             required.push(root.0);
         }
     }
-    let mut luts_by_root: BTreeMap<u32, MappedLut> = BTreeMap::new();
+    let mut cone = ConeEval::new(n);
+    let mut luts: Vec<MappedLut> = Vec::new();
     while let Some(node) = required.pop() {
-        let cut = best_cut[node as usize]
-            .clone()
-            .ok_or(NetlistError::Unmappable {
-                node: SignalId(node),
-            })?;
-        let truth = cone_truth_table(netlist, SignalId(node), &cut)?;
-        luts_by_root.insert(
-            node,
-            MappedLut {
-                root: SignalId(node),
-                inputs: cut.iter().map(|&l| SignalId(l)).collect(),
-                truth,
-            },
-        );
-        for &leaf in &cut {
-            if !is_ci(netlist.gate(SignalId(leaf))) && seen.insert(leaf) {
+        let cut = best_cut[node as usize].ok_or(NetlistError::Unmappable {
+            node: SignalId(node),
+        })?;
+        luts.push(MappedLut {
+            root: SignalId(node),
+            inputs: cut.leaves().iter().map(|&l| SignalId(l)).collect(),
+            truth: cone.truth_table(netlist, SignalId(node), cut.leaves()),
+        });
+        for &leaf in cut.leaves() {
+            if !is_ci(netlist.gate(SignalId(leaf)))
+                && !std::mem::replace(&mut seen[leaf as usize], true)
+            {
                 required.push(leaf);
             }
         }
     }
 
-    // The BTreeMap yields LUTs ordered by root id, which is the source
-    // netlist's creation order — already topological.
-    let luts: Vec<MappedLut> = luts_by_root.into_values().collect();
+    // Ordered by root id, which is the source netlist's creation order —
+    // already topological. Each root is covered once.
+    luts.sort_unstable_by_key(|l| l.root);
 
     // Collect constants referenced by outputs or LUT inputs.
     let mut constants = BTreeMap::new();
@@ -335,22 +548,20 @@ pub fn map_luts(netlist: &Netlist, k: usize, strategy: MapStrategy) -> crate::Re
         .map(|(name, s)| (name.clone(), resolve_buf(netlist, *s)))
         .collect();
 
-    // LUT-network depth.
-    // lint-allow(hash-containers): lookup-only level table, never iterated
-    let mut level: HashMap<SignalId, u32> = HashMap::new();
+    // LUT-network depth; inputs and constants are level 0.
+    let mut level = vec![0u32; n];
     for lut in &luts {
-        let lv = lut
+        level[lut.root.index()] = lut
             .inputs
             .iter()
-            .map(|i| level.get(i).copied().unwrap_or(0))
+            .map(|i| level[i.index()])
             .max()
             .unwrap_or(0)
             + 1;
-        level.insert(lut.root, lv);
     }
     let depth = outputs
         .iter()
-        .map(|(_, s)| level.get(s).copied().unwrap_or(0))
+        .map(|(_, s)| level[s.index()])
         .max()
         .unwrap_or(0);
 
@@ -382,6 +593,20 @@ fn build_truth(n: &mut Netlist, ins: &[SignalId], truth: u64, k: usize) -> Signa
     n.mux(ins[k - 1], t, f)
 }
 
+/// Sets `kept` to the minimal cuts among `cands`, by size and then in
+/// candidate order: duplicates and strict supersets of a kept cut are
+/// dropped. The resulting set does not depend on the candidate order.
+fn keep_minimal(cands: &[Cut], kept: &mut Vec<Cut>, k: usize) {
+    kept.clear();
+    for len in 0..=k {
+        for cut in cands.iter().filter(|c| c.len == len) {
+            if !kept.iter().any(|small| cut.contains(small)) {
+                kept.push(*cut);
+            }
+        }
+    }
+}
+
 fn resolve_buf(netlist: &Netlist, mut sig: SignalId) -> SignalId {
     while let Gate::Buf(a) = netlist.gate(sig) {
         sig = *a;
@@ -389,83 +614,92 @@ fn resolve_buf(netlist: &Netlist, mut sig: SignalId) -> SignalId {
     sig
 }
 
-fn prune_dominated(mut cuts: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
-    cuts.sort_by_key(Vec::len);
-    let mut kept: Vec<Vec<u32>> = Vec::new();
-    'outer: for cut in cuts {
-        for k in &kept {
-            if k.iter().all(|l| cut.binary_search(l).is_ok()) {
-                continue 'outer; // dominated by a smaller kept cut
-            }
-        }
-        kept.push(cut);
-    }
-    kept
+/// Truth-table extraction by simulating a cut's cone with the canonical
+/// input patterns. Values are memoized per signal; a value is current
+/// when its stamp equals the extraction's epoch, so the tables are
+/// allocated once per mapping.
+struct ConeEval {
+    vals: Vec<u64>,
+    stamp: Vec<u32>,
+    epoch: u32,
 }
 
-/// Extracts the truth table of `root`'s cone over the cut leaves by
-/// simulating the cone with the canonical input patterns.
-fn cone_truth_table(netlist: &Netlist, root: SignalId, cut: &[u32]) -> crate::Result<u64> {
-    debug_assert!(cut.len() <= 6);
-    // Canonical variable patterns: var j toggles with period 2^(j+1).
-    const PATTERNS: [u64; 6] = [
-        0xAAAA_AAAA_AAAA_AAAA,
-        0xCCCC_CCCC_CCCC_CCCC,
-        0xF0F0_F0F0_F0F0_F0F0,
-        0xFF00_FF00_FF00_FF00,
-        0xFFFF_0000_FFFF_0000,
-        0xFFFF_FFFF_0000_0000,
-    ];
-    // lint-allow(hash-containers): memoized cone values, looked up by id only
-    let mut vals: HashMap<u32, u64> = HashMap::new();
-    for (j, &leaf) in cut.iter().enumerate() {
-        vals.insert(leaf, PATTERNS[j]);
+impl ConeEval {
+    fn new(n: usize) -> ConeEval {
+        ConeEval {
+            vals: vec![0; n],
+            stamp: vec![0; n],
+            epoch: 0,
+        }
     }
-    let word = eval_cone(netlist, root, &mut vals);
-    let bits = 1usize << cut.len();
-    let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-    Ok(word & mask)
-}
 
-// lint-allow(hash-containers): memoized cone values, looked up by id only
-fn eval_cone(netlist: &Netlist, sig: SignalId, vals: &mut HashMap<u32, u64>) -> u64 {
-    if let Some(&v) = vals.get(&sig.0) {
-        return v;
+    /// The truth table of `root`'s cone over the cut `leaves`.
+    fn truth_table(&mut self, netlist: &Netlist, root: SignalId, leaves: &[u32]) -> u64 {
+        debug_assert!(leaves.len() <= MAX_LUT_INPUTS);
+        // Canonical variable patterns: var j toggles with period 2^(j+1).
+        const PATTERNS: [u64; 6] = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+            0xFF00_FF00_FF00_FF00,
+            0xFFFF_0000_FFFF_0000,
+            0xFFFF_FFFF_0000_0000,
+        ];
+        self.epoch += 1;
+        for (&leaf, &pattern) in leaves.iter().zip(&PATTERNS) {
+            self.vals[leaf as usize] = pattern;
+            self.stamp[leaf as usize] = self.epoch;
+        }
+        let word = self.eval(netlist, root);
+        let bits = 1usize << leaves.len();
+        let mask = if bits == 64 {
+            u64::MAX
+        } else {
+            (1u64 << bits) - 1
+        };
+        word & mask
     }
-    let v = match *netlist.gate(sig) {
-        Gate::Input { .. } => {
-            unreachable!("cut leaves cover all primary inputs of the cone")
+
+    fn eval(&mut self, netlist: &Netlist, sig: SignalId) -> u64 {
+        if self.stamp[sig.index()] == self.epoch {
+            return self.vals[sig.index()];
         }
-        Gate::Const(c) => {
-            if c {
-                u64::MAX
-            } else {
-                0
+        let v = match *netlist.gate(sig) {
+            Gate::Input { .. } => {
+                unreachable!("cut leaves cover all primary inputs of the cone")
             }
-        }
-        Gate::Buf(a) => eval_cone(netlist, a, vals),
-        Gate::Not(a) => !eval_cone(netlist, a, vals),
-        Gate::And(a, b) => eval_cone(netlist, a, vals) & eval_cone(netlist, b, vals),
-        Gate::Or(a, b) => eval_cone(netlist, a, vals) | eval_cone(netlist, b, vals),
-        Gate::Xor(a, b) => eval_cone(netlist, a, vals) ^ eval_cone(netlist, b, vals),
-        Gate::Nand(a, b) => !(eval_cone(netlist, a, vals) & eval_cone(netlist, b, vals)),
-        Gate::Nor(a, b) => !(eval_cone(netlist, a, vals) | eval_cone(netlist, b, vals)),
-        Gate::Xnor(a, b) => !(eval_cone(netlist, a, vals) ^ eval_cone(netlist, b, vals)),
-        Gate::Mux { sel, t, f } => {
-            let s = eval_cone(netlist, sel, vals);
-            (s & eval_cone(netlist, t, vals)) | (!s & eval_cone(netlist, f, vals))
-        }
-        Gate::Maj(a, b, c) => {
-            let (x, y, z) = (
-                eval_cone(netlist, a, vals),
-                eval_cone(netlist, b, vals),
-                eval_cone(netlist, c, vals),
-            );
-            (x & y) | (x & z) | (y & z)
-        }
-    };
-    vals.insert(sig.0, v);
-    v
+            Gate::Const(c) => {
+                if c {
+                    u64::MAX
+                } else {
+                    0
+                }
+            }
+            Gate::Buf(a) => self.eval(netlist, a),
+            Gate::Not(a) => !self.eval(netlist, a),
+            Gate::And(a, b) => self.eval(netlist, a) & self.eval(netlist, b),
+            Gate::Or(a, b) => self.eval(netlist, a) | self.eval(netlist, b),
+            Gate::Xor(a, b) => self.eval(netlist, a) ^ self.eval(netlist, b),
+            Gate::Nand(a, b) => !(self.eval(netlist, a) & self.eval(netlist, b)),
+            Gate::Nor(a, b) => !(self.eval(netlist, a) | self.eval(netlist, b)),
+            Gate::Xnor(a, b) => !(self.eval(netlist, a) ^ self.eval(netlist, b)),
+            Gate::Mux { sel, t, f } => {
+                let s = self.eval(netlist, sel);
+                (s & self.eval(netlist, t)) | (!s & self.eval(netlist, f))
+            }
+            Gate::Maj(a, b, c) => {
+                let (x, y, z) = (
+                    self.eval(netlist, a),
+                    self.eval(netlist, b),
+                    self.eval(netlist, c),
+                );
+                (x & y) | (x & z) | (y & z)
+            }
+        };
+        self.vals[sig.index()] = v;
+        self.stamp[sig.index()] = self.epoch;
+        v
+    }
 }
 
 /// Verifies that a mapping is functionally equivalent to its source
@@ -608,6 +842,91 @@ mod tests {
         let r2 = mapped.clone().to_netlist("r");
         assert_eq!(r1, r2);
         assert_eq!(r1.content_digest(), r2.content_digest());
+    }
+
+    /// A two-input AND mapped to one LUT: inputs 0 and 1, LUT root 2.
+    fn and_mapping() -> MappedNetlist {
+        let mut n = Netlist::new("and");
+        let a = n.input("a");
+        let b = n.input("b");
+        let x = n.and(a, b);
+        n.output("x", x);
+        map_luts(&n, 6, MapStrategy::Depth).unwrap()
+    }
+
+    #[test]
+    fn lut_input_used_before_definition_is_an_error() {
+        let mut m = and_mapping();
+        let undefined = SignalId(99);
+        m.luts[0].inputs[1] = undefined;
+        let root = m.luts[0].root;
+        let want = NetlistError::UndefinedLutInput {
+            root,
+            input: undefined,
+        };
+        assert_eq!(m.simulate_words(&[0, 0]), Err(want.clone()));
+        assert_eq!(
+            crate::estimate_power(&m, &crate::PowerModel::default()),
+            Err(want)
+        );
+    }
+
+    #[test]
+    fn lut_with_more_than_six_inputs_is_an_error() {
+        let mut m = and_mapping();
+        let a = m.inputs[0];
+        m.luts[0].inputs = vec![a; 7];
+        let root = m.luts[0].root;
+        assert_eq!(
+            m.simulate_words(&[0, 0]),
+            Err(NetlistError::LutTooWide { root, inputs: 7 })
+        );
+    }
+
+    #[test]
+    fn output_naming_an_unknown_signal_is_an_error() {
+        let mut m = and_mapping();
+        m.outputs[0].1 = SignalId(42);
+        assert_eq!(
+            m.simulate_words(&[0, 0]),
+            Err(NetlistError::UnknownOutput {
+                name: "x".to_string(),
+                signal: SignalId(42),
+            })
+        );
+    }
+
+    #[test]
+    fn dense_program_evaluates_every_lane() {
+        // A 6-input LUT with a random truth table, checked lane by lane
+        // against direct truth-table indexing at 64·4 lanes.
+        let truth = 0x9E37_79B9_7F4A_7C15u64;
+        let program = LutProgram {
+            inputs: 6,
+            luts: vec![DenseLut {
+                fanin: [0, 1, 2, 3, 4, 5],
+                arity: 6,
+                truth,
+            }],
+            outputs: vec![8],
+        };
+        let mut buf = vec![[0u64; 4]; program.slots()];
+        for (i, slot) in buf[..6].iter_mut().enumerate() {
+            for (w, word) in slot.iter_mut().enumerate() {
+                *word = (i as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ (w as u64) << 7;
+            }
+        }
+        program.run(&mut buf);
+        for w in 0..4 {
+            for lane in 0..64 {
+                let idx = (0..6).fold(0, |acc, i| acc | (((buf[i][w] >> lane) & 1) << i));
+                assert_eq!(
+                    (buf[8][w] >> lane) & 1,
+                    (truth >> idx) & 1,
+                    "word {w} lane {lane}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use crate::map::MappedNetlist;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// Power model parameters for the target fabric at a given clock.
 ///
@@ -76,67 +75,88 @@ impl PowerReport {
     }
 }
 
+/// Words evaluated per pass of the dense LUT program: 16 words,
+/// i.e. 16 rounds of 64 vectors.
+const PASS_WORDS: usize = 16;
+
 /// Estimates the power of a mapped netlist under random stimulus.
+///
+/// Round `r` drives input `i` with the ChaCha word drawn `r·inputs + i`-th
+/// from `model.seed`; the rounds are evaluated 16 at a time.
+/// Toggle counts are exact integers, so the report does not depend on how
+/// rounds are grouped into passes.
 ///
 /// # Errors
 ///
-/// Propagates simulation errors from [`MappedNetlist::eval_words`].
+/// Propagates the lowering errors of a malformed network
+/// ([`crate::NetlistError::LutTooWide`],
+/// [`crate::NetlistError::UndefinedLutInput`] and
+/// [`crate::NetlistError::UnknownOutput`]).
 pub fn estimate_power(mapped: &MappedNetlist, model: &PowerModel) -> crate::Result<PowerReport> {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(model.seed);
-    // Fanout of each mapped net = number of LUTs (plus outputs) reading it.
-    let mut fanout: BTreeMap<crate::SignalId, f64> = BTreeMap::new();
-    for lut in &mapped.luts {
-        for inp in &lut.inputs {
-            *fanout.entry(*inp).or_insert(0.0) += 1.0;
+    let program = mapped.program()?;
+    let rounds = model.rounds.max(1);
+    let n_in = program.inputs;
+    let base = program.lut_base();
+    // Fanout of each net = number of LUTs (plus outputs) reading it.
+    let mut fanout = vec![0u64; program.slots()];
+    for lut in &program.luts {
+        for &s in &lut.fanin[..lut.arity] {
+            fanout[s as usize] += 1;
         }
     }
-    for (_, out) in &mapped.outputs {
-        *fanout.entry(*out).or_insert(0.0) += 1.0;
+    for &s in &program.outputs {
+        fanout[s as usize] += 1;
     }
 
-    let mut toggles_logic = 0.0f64; // LUT-output toggles
-    let mut toggles_signal = 0.0f64; // fanout-weighted net toggles
-    let mut transitions = 0.0f64; // total observed net-transitions slots
-    let mut toggle_events = 0.0f64;
-
-    let roots: Vec<crate::SignalId> = mapped.luts.iter().map(|l| l.root).collect();
-    // Deterministic net order: primary inputs, then LUT roots.
-    let mut nets: Vec<crate::SignalId> = mapped.inputs.clone();
-    nets.extend(roots.iter().copied());
-    for _ in 0..model.rounds.max(1) {
-        let words: Vec<u64> = (0..mapped.inputs.len()).map(|_| rng.gen()).collect();
-        let vals = mapped.eval_words(&words)?;
+    // Nets: primary inputs and LUT outputs; constants are not nets.
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(model.seed);
+    let mut buf = vec![[0u64; PASS_WORDS]; program.slots()];
+    let mut flips = vec![0u64; program.slots()];
+    let nets = (0..n_in).chain(base..program.slots());
+    let mut done = 0;
+    while done < rounds {
+        let words = (rounds - done).min(PASS_WORDS);
+        for w in 0..words {
+            for slot in &mut buf[..n_in] {
+                slot[w] = rng.gen();
+            }
+        }
+        program.run(&mut buf);
         // Adjacent lanes model consecutive random input patterns: count
         // bit flips between lane i and lane i+1 (63 valid pairs per word;
         // bit 63 of v ^ (v >> 1) compares lane 63 against zero fill and is
         // excluded).
-        for &sig in &nets {
-            let v = vals[&sig];
-            let x = v ^ (v >> 1);
-            // lint-allow(no-silent-truncation): masked to a single bit
-            let flips = f64::from(x.count_ones() - ((v >> 63) & 1) as u32);
-            transitions += 63.0;
-            toggle_events += flips;
-            if roots.binary_search(&sig).is_ok() {
-                toggles_logic += flips;
-            }
-            if let Some(&fo) = fanout.get(&sig) {
-                toggles_signal += flips * fo;
+        for net in nets.clone() {
+            for &v in &buf[net][..words] {
+                flips[net] += u64::from((v ^ (v >> 1)).count_ones()) - (v >> 63);
             }
         }
+        done += words;
     }
 
-    let total_slots = (model.rounds.max(1) * 63) as f64;
+    let (mut toggle_events, mut toggles_logic, mut toggles_signal) = (0u64, 0u64, 0u64);
+    for net in nets {
+        let f = flips[net];
+        toggle_events += f;
+        toggles_signal += f * fanout[net];
+        if net >= base {
+            toggles_logic += f;
+        }
+    }
+    // The integer-to-f64 conversions are exact: every count stays far
+    // below 2^53.
+    let transitions = (63 * rounds * (n_in + program.luts.len())) as f64;
+    let total_slots = (rounds * 63) as f64;
     // Energy per cycle = toggles/cycle * energy/toggle. Convert pJ * MHz
     // -> microwatts; divide by 1000 for milliwatts.
-    let logic_rate = toggles_logic / total_slots;
-    let signal_rate = toggles_signal / total_slots;
+    let logic_rate = toggles_logic as f64 / total_slots;
+    let signal_rate = toggles_signal as f64 / total_slots;
     let logic_mw = logic_rate * model.logic_energy_pj * model.clock_mhz / 1000.0;
     let signal_mw = signal_rate * model.signal_energy_pj * model.clock_mhz / 1000.0;
     let static_mw =
         model.static_base_mw + model.static_uw_per_lut * mapped.lut_count() as f64 / 1000.0;
     let mean_activity = if transitions > 0.0 {
-        toggle_events / transitions
+        toggle_events as f64 / transitions
     } else {
         0.0
     };

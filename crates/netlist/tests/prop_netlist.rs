@@ -2,9 +2,12 @@
 //! survive optimize → map → verify with function preserved, and the BDD
 //! backend must agree with simulation.
 
+mod support;
+
 use clapped_netlist::bdd::{check_equivalence, BddManager, Equivalence};
 use clapped_netlist::{
-    bus, lint_netlist, map_luts, optimize, FaultKind, FaultSet, MapStrategy, Netlist, SignalId,
+    bus, estimate_power, lint_netlist, map_luts, optimize, FaultKind, FaultSet, MapStrategy,
+    MappedNetlist, Netlist, PowerModel, PowerReport, SignalId,
 };
 use proptest::prelude::*;
 
@@ -37,6 +40,48 @@ fn random_netlist(n_inputs: usize, ops: &[u8]) -> Netlist {
     n
 }
 
+/// Adds outputs tied straight to the first input and to both constants.
+fn tie_outputs(n: &mut Netlist) {
+    let i0 = n.inputs()[0];
+    n.output("pi", i0);
+    let zero = n.constant(false);
+    n.output("zero", zero);
+    let one = n.constant(true);
+    n.output("one", one);
+}
+
+fn power_bits(p: &PowerReport) -> [u64; 4] {
+    [
+        p.logic_mw.to_bits(),
+        p.signal_mw.to_bits(),
+        p.static_mw.to_bits(),
+        p.mean_activity.to_bits(),
+    ]
+}
+
+/// Round counts around the evaluator's 16-word pass, plus one pass and
+/// a bit.
+const ORACLE_ROUNDS: [usize; 5] = [1, 15, 16, 17, 33];
+
+/// Outputs and every power-report field of `mapped` agree bit for bit
+/// with the per-lane oracle.
+fn check_against_oracle(mapped: &MappedNetlist, words: &[u64], seed: u64) {
+    assert_eq!(
+        mapped.simulate_words(words).expect("simulates"),
+        support::simulate_words_per_lane(mapped, words)
+    );
+    for rounds in ORACLE_ROUNDS {
+        let model = PowerModel {
+            rounds,
+            seed,
+            ..PowerModel::default()
+        };
+        let got = estimate_power(mapped, &model).expect("power");
+        let want = support::estimate_power_per_lane(mapped, &model);
+        assert_eq!(power_bits(&got), power_bits(&want), "rounds {rounds}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -58,6 +103,28 @@ proptest! {
             // The LUT network reconverted to gates agrees as well.
             let back = mapped.to_netlist("back");
             prop_assert_eq!(&want, &back.simulate_words(&words).expect("simulates"));
+        }
+    }
+
+    /// The dense LUT program agrees bit for bit with the per-lane oracle
+    /// on random logic for every LUT size: outputs, and power for round
+    /// counts that are and are not multiples of the pass width. Some
+    /// outputs are tied straight to an input or a constant.
+    #[test]
+    fn dense_evaluator_matches_per_lane_oracle(
+        ops in proptest::collection::vec(any::<u8>(), 4..60),
+        k in 2usize..=6,
+        words in proptest::collection::vec(any::<u64>(), 4),
+        seed: u64,
+    ) {
+        // LUT2 cannot cover the 3-input mux and majority gates.
+        let ops: Vec<u8> = if k == 2 { ops.iter().map(|op| op % 7).collect() } else { ops };
+        let mut n = random_netlist(4, &ops);
+        tie_outputs(&mut n);
+        let opt = optimize(&n);
+        for strategy in [MapStrategy::Depth, MapStrategy::Area] {
+            let mapped = map_luts(&opt, k, strategy).expect("mappable");
+            check_against_oracle(&mapped, &words, seed);
         }
     }
 
@@ -139,6 +206,19 @@ proptest! {
 }
 
 
+/// A mapping without LUTs, every output tied to an input or a constant,
+/// evaluates and estimates power exactly as the per-lane oracle does.
+#[test]
+fn lut_free_mapping_matches_per_lane_oracle() {
+    let mut n = Netlist::new("wires");
+    let a = n.input("a");
+    let _b = n.input("b");
+    n.output("a", a);
+    tie_outputs(&mut n);
+    let mapped = map_luts(&optimize(&n), 6, MapStrategy::Depth).expect("mappable");
+    assert_eq!(mapped.lut_count(), 0);
+    check_against_oracle(&mapped, &[0x0123_4567_89AB_CDEF, !0x0F0F], 11);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
