@@ -5,18 +5,21 @@
 //! nets of an (approximate) operator actually matter when silicon
 //! misbehaves?* It supports
 //!
-//! - **permanent faults** — stuck-at-0 / stuck-at-1 on any net, applied
-//!   as per-signal masks inside the 64-lane word-parallel simulator, and
+//! - **permanent faults** — stuck-at-0 / stuck-at-1 on any net, and
 //! - **transient faults** — per-lane bit-flip (XOR) masks modelling SEU
 //!   style upsets,
 //!
-//! plus campaign runners that sweep every injectable site, compare
+//! both stored as per-signal `(and, or, xor)` masks that the one
+//! simulation kernel applies as each faulted net is computed (see the
+//! `sim` module: the 64-lane [`Netlist::simulate_words_with_faults`] is
+//! its `W = 1` case, and campaigns run it on wide blocks). On top sit
+//! campaign runners that sweep every injectable site, compare
 //! against the fault-free simulation, and rank nets by how often (and
 //! how badly, under a positional weighting) they corrupt the outputs.
 //! Application-level quality impact of these sites is measured one layer
 //! up, in `clapped-core`.
 
-use crate::ir::{Gate, Netlist, SignalId};
+use crate::ir::{Netlist, SignalId};
 use crate::NetlistError;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -183,10 +186,20 @@ pub struct CampaignOptions {
     pub skip_masked: bool,
 }
 
+/// `num / den`, or 0 when nothing was measured (`den == 0`: no samples
+/// or no outputs), so campaign metrics are never NaN.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den == 0.0 {
+        0.0
+    } else {
+        num / den
+    }
+}
+
 impl CampaignReport {
     /// Site indices sorted by decreasing impact (weighted error first,
     /// mismatch rate as tie-break). NaN cannot occur: both metrics are
-    /// ratios of finite counts.
+    /// ratios of finite counts, and 0 when a campaign measured nothing.
     pub fn ranked_sites(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.sites.len()).collect();
         idx.sort_by(|&a, &b| {
@@ -218,98 +231,6 @@ impl CampaignReport {
 }
 
 impl Netlist {
-    /// [`Netlist::eval_words`] with a set of injected faults.
-    ///
-    /// The fault masks are applied to each net's value immediately after
-    /// it is computed, so downstream gates see the faulted value —
-    /// exactly the semantics of a defective physical net. An empty fault
-    /// set yields bit-identical results to the fault-free evaluator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InvalidFaultSite`] if a fault references
-    /// a signal outside this netlist, and propagates
-    /// [`NetlistError::InputCountMismatch`] from the underlying
-    /// evaluator.
-    pub fn eval_words_with_faults(
-        &self,
-        input_words: &[u64],
-        faults: &FaultSet,
-    ) -> crate::Result<Vec<u64>> {
-        if let Some(max) = faults.max_index() {
-            if max >= self.len() {
-                return Err(NetlistError::InvalidFaultSite {
-                    index: max,
-                    signals: self.len(),
-                });
-            }
-        }
-        if input_words.len() != self.inputs().len() {
-            return Err(NetlistError::InputCountMismatch {
-                expected: self.inputs().len(),
-                found: input_words.len(),
-            });
-        }
-        let mut vals = vec![0u64; self.len()];
-        let mut next_input = 0;
-        // Sparse per-signal fault masks, densified once per call.
-        let mut masks: Vec<Option<(u64, u64, u64)>> = vec![None; self.len()];
-        for &(i, and_mask, or_mask, xor_mask) in &faults.entries {
-            masks[i] = Some((and_mask, or_mask, xor_mask));
-        }
-        for (i, gate) in self.gates().iter().enumerate() {
-            let v = match *gate {
-                Gate::Input { .. } => {
-                    let w = input_words[next_input];
-                    next_input += 1;
-                    w
-                }
-                Gate::Const(c) => {
-                    if c {
-                        u64::MAX
-                    } else {
-                        0
-                    }
-                }
-                Gate::Buf(a) => vals[a.index()],
-                Gate::Not(a) => !vals[a.index()],
-                Gate::And(a, b) => vals[a.index()] & vals[b.index()],
-                Gate::Or(a, b) => vals[a.index()] | vals[b.index()],
-                Gate::Xor(a, b) => vals[a.index()] ^ vals[b.index()],
-                Gate::Nand(a, b) => !(vals[a.index()] & vals[b.index()]),
-                Gate::Nor(a, b) => !(vals[a.index()] | vals[b.index()]),
-                Gate::Xnor(a, b) => !(vals[a.index()] ^ vals[b.index()]),
-                Gate::Mux { sel, t, f } => {
-                    let s = vals[sel.index()];
-                    (s & vals[t.index()]) | (!s & vals[f.index()])
-                }
-                Gate::Maj(a, b, c) => {
-                    let (x, y, z) = (vals[a.index()], vals[b.index()], vals[c.index()]);
-                    (x & y) | (x & z) | (y & z)
-                }
-            };
-            vals[i] = match masks[i] {
-                Some((and_mask, or_mask, xor_mask)) => ((v & and_mask) | or_mask) ^ xor_mask,
-                None => v,
-            };
-        }
-        Ok(vals)
-    }
-
-    /// Primary outputs under injected faults, 64 lanes at a time.
-    ///
-    /// # Errors
-    ///
-    /// See [`Netlist::eval_words_with_faults`].
-    pub fn simulate_words_with_faults(
-        &self,
-        input_words: &[u64],
-        faults: &FaultSet,
-    ) -> crate::Result<Vec<u64>> {
-        let vals = self.eval_words_with_faults(input_words, faults)?;
-        Ok(self.outputs().iter().map(|(_, s)| vals[s.index()]).collect())
-    }
-
     /// All injectable fault sites: every signal with both stuck-at
     /// polarities. Primary inputs are included (a stuck input models a
     /// broken bond/pin).
@@ -535,8 +456,8 @@ impl Netlist {
             }
             site_reports.push(FaultSiteReport {
                 fault: *fault,
-                mismatch_rate: mismatched as f64 / samples as f64,
-                weighted_error: weighted / (samples as f64 * max_weight),
+                mismatch_rate: ratio(mismatched as f64, samples as f64),
+                weighted_error: ratio(weighted, samples as f64 * max_weight),
             });
         }
 
@@ -664,8 +585,8 @@ impl Netlist {
         }
         Ok(FaultSiteReport {
             fault,
-            mismatch_rate: mismatched_lanes as f64 / samples as f64,
-            weighted_error: weighted / (samples as f64 * max_weight),
+            mismatch_rate: ratio(mismatched_lanes as f64, samples as f64),
+            weighted_error: ratio(weighted, samples as f64 * max_weight),
         })
     }
 
@@ -693,6 +614,10 @@ impl Netlist {
             .iter()
             .map(|b| self.simulate_words_with_faults(b, &FaultSet::empty()))
             .collect::<crate::Result<_>>()?;
+        if self.is_empty() {
+            // No net to upset.
+            return Ok(Vec::new());
+        }
         for _ in 0..rounds {
             for (batch, gold) in input_batches.iter().zip(&golden) {
                 let target = (rng.next_u64() % self.len() as u64) as usize;
@@ -1014,6 +939,41 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, NetlistError::InvalidFaultSite { index: 99, .. }));
+    }
+
+    #[test]
+    fn campaign_without_samples_or_outputs_reports_zero() {
+        // No batches: nothing is measured, so every rate is 0, not 0/0.
+        let n = xor_chain();
+        let sites = n.fault_sites();
+        let engine = clapped_exec::Engine::new(clapped_exec::ExecConfig::with_jobs(2));
+        let wide = n
+            .stuck_at_campaign_with_options(&sites, &[], 64, &engine, CampaignOptions::default())
+            .unwrap();
+        let reference = n.stuck_at_campaign_ref(&sites, &[], 64).unwrap();
+        assert_eq!(wide, reference);
+        assert_eq!(wide.samples, 0);
+        assert!(wide.sites.iter().all(|s| s.mismatch_rate == 0.0 && s.weighted_error == 0.0));
+        assert_eq!(wide.masked_fraction(), 1.0);
+
+        // No outputs: the positional weight sum is 0, so is the error.
+        let mut n = Netlist::new("sink");
+        let a = n.input("a");
+        let _ = n.not(a);
+        let sites = n.fault_sites();
+        let batches = [vec![0b1010u64]];
+        let wide = n
+            .stuck_at_campaign_with_options(&sites, &batches, 4, &engine, CampaignOptions::default())
+            .unwrap();
+        let reference = n.stuck_at_campaign_ref(&sites, &batches, 4).unwrap();
+        assert_eq!(wide, reference);
+        assert!(wide.sites.iter().all(|s| s.mismatch_rate == 0.0 && s.weighted_error == 0.0));
+    }
+
+    #[test]
+    fn transient_campaign_on_empty_netlist_is_empty() {
+        let n = Netlist::new("empty");
+        assert_eq!(n.transient_campaign(&[vec![], vec![]], 4, 1).unwrap(), Vec::<f64>::new());
     }
 
     #[test]

@@ -84,6 +84,24 @@ impl Gate {
         [a, b, c].into_iter().flatten()
     }
 
+    /// This gate with every fanin `s` replaced by `remap(s)`: the one
+    /// gate-by-gate fanin remap used when copying logic between netlists.
+    pub(crate) fn map_fanins(&self, mut remap: impl FnMut(SignalId) -> SignalId) -> Gate {
+        match *self {
+            Gate::Input { .. } | Gate::Const(_) => self.clone(),
+            Gate::Buf(a) => Gate::Buf(remap(a)),
+            Gate::Not(a) => Gate::Not(remap(a)),
+            Gate::And(a, b) => Gate::And(remap(a), remap(b)),
+            Gate::Or(a, b) => Gate::Or(remap(a), remap(b)),
+            Gate::Xor(a, b) => Gate::Xor(remap(a), remap(b)),
+            Gate::Nand(a, b) => Gate::Nand(remap(a), remap(b)),
+            Gate::Nor(a, b) => Gate::Nor(remap(a), remap(b)),
+            Gate::Xnor(a, b) => Gate::Xnor(remap(a), remap(b)),
+            Gate::Mux { sel, t, f } => Gate::Mux { sel: remap(sel), t: remap(t), f: remap(f) },
+            Gate::Maj(a, b, c) => Gate::Maj(remap(a), remap(b), remap(c)),
+        }
+    }
+
     /// True for gates that carry logic (not inputs/constants/buffers).
     pub fn is_logic(&self) -> bool {
         !matches!(self, Gate::Input { .. } | Gate::Const(_) | Gate::Buf(_))
@@ -195,7 +213,9 @@ impl Netlist {
         self.gates.iter().filter(|g| g.is_logic()).count()
     }
 
-    fn push(&mut self, gate: Gate) -> SignalId {
+    /// Appends `gate` and returns its signal. Constants go through
+    /// [`Netlist::constant`] instead, which deduplicates them.
+    pub(crate) fn push(&mut self, gate: Gate) -> SignalId {
         for f in gate.fanins() {
             assert!(
                 f.index() < self.gates.len(),
@@ -360,9 +380,6 @@ impl Netlist {
         let mut map: Vec<Option<SignalId>> = vec![None; sub.gates.len()];
         let mut next_input = 0usize;
         for (idx, gate) in sub.gates.iter().enumerate() {
-            let m = |s: SignalId, map: &Vec<Option<SignalId>>| -> SignalId {
-                map[s.index()].expect("fanins precede users in topological order")
-            };
             let new_id = match gate {
                 Gate::Input { .. } => {
                     let sig = inputs[next_input];
@@ -370,40 +387,9 @@ impl Netlist {
                     sig
                 }
                 Gate::Const(v) => self.constant(*v),
-                Gate::Buf(a) => self.buf(m(*a, &map)),
-                Gate::Not(a) => self.not(m(*a, &map)),
-                Gate::And(a, b) => {
-                    let (a, b) = (m(*a, &map), m(*b, &map));
-                    self.and(a, b)
-                }
-                Gate::Or(a, b) => {
-                    let (a, b) = (m(*a, &map), m(*b, &map));
-                    self.or(a, b)
-                }
-                Gate::Xor(a, b) => {
-                    let (a, b) = (m(*a, &map), m(*b, &map));
-                    self.xor(a, b)
-                }
-                Gate::Nand(a, b) => {
-                    let (a, b) = (m(*a, &map), m(*b, &map));
-                    self.nand(a, b)
-                }
-                Gate::Nor(a, b) => {
-                    let (a, b) = (m(*a, &map), m(*b, &map));
-                    self.nor(a, b)
-                }
-                Gate::Xnor(a, b) => {
-                    let (a, b) = (m(*a, &map), m(*b, &map));
-                    self.xnor(a, b)
-                }
-                Gate::Mux { sel, t, f } => {
-                    let (sel, t, f) = (m(*sel, &map), m(*t, &map), m(*f, &map));
-                    self.mux(sel, t, f)
-                }
-                Gate::Maj(a, b, c) => {
-                    let (a, b, c) = (m(*a, &map), m(*b, &map), m(*c, &map));
-                    self.maj(a, b, c)
-                }
+                _ => self.push(gate.map_fanins(|s| {
+                    map[s.index()].expect("fanins precede users in topological order")
+                })),
             };
             map[idx] = Some(new_id);
         }

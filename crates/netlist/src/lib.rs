@@ -10,7 +10,10 @@
 //!
 //! - a combinational gate-level IR ([`Netlist`]) that is a DAG by
 //!   construction,
-//! - 64-way bit-parallel simulation,
+//! - bit-parallel simulation: one kernel over `[u64; W]` lane blocks
+//!   (`W × 64` input vectors per pass), whose `W = 1` case is the
+//!   64-lane API ([`Netlist::simulate_words`]) and which applies
+//!   injected faults ([`FaultSet`]) as it goes,
 //! - constant folding / dead-code elimination ([`optimize`]),
 //! - structural arithmetic builders ([`bus`]): ripple-carry adders,
 //!   Baugh-Wooley signed multipliers, compressors, barrel shifters,
@@ -46,7 +49,6 @@ mod map;
 mod opt;
 mod power;
 mod sim;
-mod sim_wide;
 mod synth;
 mod timing;
 pub mod verilog;
@@ -64,8 +66,10 @@ pub use lint::{lint_netlist, live_cone, NetlistStats, StructFinding, StructRepor
 pub use map::{map_luts, MapStrategy, MappedLut, MappedNetlist};
 pub use opt::optimize;
 pub use power::{estimate_power, PowerModel, PowerReport};
-pub use sim::{pack_bus_samples, unpack_bus_samples};
-pub use sim_wide::{pack_bus_samples_blocks, transpose8x8, unpack_bus_samples_blocks};
+pub use sim::{
+    pack_bus_samples, pack_bus_samples_blocks, transpose8x8, unpack_bus_samples,
+    unpack_bus_samples_blocks,
+};
 pub use synth::{synthesize, SynthConfig, SynthReport};
 pub use timing::TimingModel;
 

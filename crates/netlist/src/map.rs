@@ -664,37 +664,8 @@ impl ConeEval {
         if self.stamp[sig.index()] == self.epoch {
             return self.vals[sig.index()];
         }
-        let v = match *netlist.gate(sig) {
-            Gate::Input { .. } => {
-                unreachable!("cut leaves cover all primary inputs of the cone")
-            }
-            Gate::Const(c) => {
-                if c {
-                    u64::MAX
-                } else {
-                    0
-                }
-            }
-            Gate::Buf(a) => self.eval(netlist, a),
-            Gate::Not(a) => !self.eval(netlist, a),
-            Gate::And(a, b) => self.eval(netlist, a) & self.eval(netlist, b),
-            Gate::Or(a, b) => self.eval(netlist, a) | self.eval(netlist, b),
-            Gate::Xor(a, b) => self.eval(netlist, a) ^ self.eval(netlist, b),
-            Gate::Nand(a, b) => !(self.eval(netlist, a) & self.eval(netlist, b)),
-            Gate::Nor(a, b) => !(self.eval(netlist, a) | self.eval(netlist, b)),
-            Gate::Xnor(a, b) => !(self.eval(netlist, a) ^ self.eval(netlist, b)),
-            Gate::Mux { sel, t, f } => {
-                let s = self.eval(netlist, sel);
-                (s & self.eval(netlist, t)) | (!s & self.eval(netlist, f))
-            }
-            Gate::Maj(a, b, c) => {
-                let (x, y, z) = (
-                    self.eval(netlist, a),
-                    self.eval(netlist, b),
-                    self.eval(netlist, c),
-                );
-                (x & y) | (x & z) | (y & z)
-            }
+        let Some([v]) = netlist.gate(sig).eval_block(|s| [self.eval(netlist, s)]) else {
+            unreachable!("cut leaves cover all primary inputs of the cone")
         };
         self.vals[sig.index()] = v;
         self.stamp[sig.index()] = self.epoch;

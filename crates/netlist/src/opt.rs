@@ -345,46 +345,12 @@ fn eliminate_dead_code(netlist: &Netlist) -> Netlist {
         if !live[idx] {
             continue;
         }
-        let m = |s: SignalId, map: &Vec<Option<SignalId>>| -> SignalId {
-            map[s.index()].expect("live fanins precede their users")
-        };
         let new_id = match gate {
             Gate::Input { name } => out.input(name.clone()),
             Gate::Const(v) => out.constant(*v),
-            Gate::Buf(a) => out.buf(m(*a, &map)),
-            Gate::Not(a) => out.not(m(*a, &map)),
-            Gate::And(a, b) => {
-                let (a, b) = (m(*a, &map), m(*b, &map));
-                out.and(a, b)
-            }
-            Gate::Or(a, b) => {
-                let (a, b) = (m(*a, &map), m(*b, &map));
-                out.or(a, b)
-            }
-            Gate::Xor(a, b) => {
-                let (a, b) = (m(*a, &map), m(*b, &map));
-                out.xor(a, b)
-            }
-            Gate::Nand(a, b) => {
-                let (a, b) = (m(*a, &map), m(*b, &map));
-                out.nand(a, b)
-            }
-            Gate::Nor(a, b) => {
-                let (a, b) = (m(*a, &map), m(*b, &map));
-                out.nor(a, b)
-            }
-            Gate::Xnor(a, b) => {
-                let (a, b) = (m(*a, &map), m(*b, &map));
-                out.xnor(a, b)
-            }
-            Gate::Mux { sel, t, f } => {
-                let (sel, t, f) = (m(*sel, &map), m(*t, &map), m(*f, &map));
-                out.mux(sel, t, f)
-            }
-            Gate::Maj(a, b, c) => {
-                let (a, b, c) = (m(*a, &map), m(*b, &map), m(*c, &map));
-                out.maj(a, b, c)
-            }
+            _ => out.push(
+                gate.map_fanins(|s| map[s.index()].expect("live fanins precede their users")),
+            ),
         };
         map[idx] = Some(new_id);
     }

@@ -1,15 +1,98 @@
-//! Reference oracles for the LUT-network evaluator.
+//! Reference oracles for the netlist evaluators.
 //!
-//! The per-lane interpreter below is the original `MappedNetlist`
+//! The gate-level oracle is the original 64-lane evaluator with fault
+//! masks: its own gate-by-gate match, one `u64` per signal, and faults
+//! given in the terms of the `FaultSet` builder. The production
+//! simulator (one kernel over `[u64; W]` blocks, whose `W = 1` case is
+//! the 64-lane API) must match it word for word.
+//!
+//! The LUT-network oracle is the original per-lane `MappedNetlist`
 //! evaluator: every LUT is evaluated one lane at a time by building its
 //! truth-table index from the input bits, with signal values kept in a
 //! map. Power is recomputed on top of it with the original per-round
 //! floating-point accumulation. The production path (a dense word-parallel
 //! LUT program) must match both bit for bit.
 
-use clapped_netlist::{MappedNetlist, PowerModel, PowerReport, SignalId};
+// Each test binary uses only some of the oracles.
+#![allow(dead_code)]
+
+use clapped_netlist::{Gate, MappedNetlist, Netlist, PowerModel, PowerReport, SignalId};
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+
+/// One fault for [`eval_words_with_faults_ref`], as the `FaultSet`
+/// builder states it.
+#[derive(Debug, Clone, Copy)]
+pub enum RefFault {
+    /// `FaultSet::stuck_at`: the net reads `value` in every lane. The
+    /// last stuck-at on a net wins.
+    StuckAt(SignalId, bool),
+    /// `FaultSet::transient`: the net reads inverted in `lanes`. Flips
+    /// on one net accumulate, and apply after any stuck-at.
+    Flip(SignalId, u64),
+}
+
+/// Values of every signal for 64 lanes with `faults` injected, each
+/// faulted net's value replaced as soon as it is computed so that
+/// downstream gates see it.
+pub fn eval_words_with_faults_ref(n: &Netlist, input_words: &[u64], faults: &[RefFault]) -> Vec<u64> {
+    assert_eq!(input_words.len(), n.inputs().len(), "input arity");
+    let mut stuck: Vec<Option<bool>> = vec![None; n.len()];
+    let mut flip = vec![0u64; n.len()];
+    for &f in faults {
+        match f {
+            RefFault::StuckAt(s, value) => stuck[s.index()] = Some(value),
+            RefFault::Flip(s, lanes) => flip[s.index()] ^= lanes,
+        }
+    }
+    let mut vals = vec![0u64; n.len()];
+    let mut next_input = 0;
+    for (i, gate) in n.gates().iter().enumerate() {
+        let v = match *gate {
+            Gate::Input { .. } => {
+                let w = input_words[next_input];
+                next_input += 1;
+                w
+            }
+            Gate::Const(c) => {
+                if c {
+                    u64::MAX
+                } else {
+                    0
+                }
+            }
+            Gate::Buf(a) => vals[a.index()],
+            Gate::Not(a) => !vals[a.index()],
+            Gate::And(a, b) => vals[a.index()] & vals[b.index()],
+            Gate::Or(a, b) => vals[a.index()] | vals[b.index()],
+            Gate::Xor(a, b) => vals[a.index()] ^ vals[b.index()],
+            Gate::Nand(a, b) => !(vals[a.index()] & vals[b.index()]),
+            Gate::Nor(a, b) => !(vals[a.index()] | vals[b.index()]),
+            Gate::Xnor(a, b) => !(vals[a.index()] ^ vals[b.index()]),
+            Gate::Mux { sel, t, f } => {
+                let s = vals[sel.index()];
+                (s & vals[t.index()]) | (!s & vals[f.index()])
+            }
+            Gate::Maj(a, b, c) => {
+                let (x, y, z) = (vals[a.index()], vals[b.index()], vals[c.index()]);
+                (x & y) | (x & z) | (y & z)
+            }
+        };
+        let v = match stuck[i] {
+            Some(true) => u64::MAX,
+            Some(false) => 0,
+            None => v,
+        };
+        vals[i] = v ^ flip[i];
+    }
+    vals
+}
+
+/// The primary outputs for 64 lanes, through [`eval_words_with_faults_ref`].
+pub fn simulate_words_with_faults_ref(n: &Netlist, input_words: &[u64], faults: &[RefFault]) -> Vec<u64> {
+    let vals = eval_words_with_faults_ref(n, input_words, faults);
+    n.outputs().iter().map(|(_, s)| vals[s.index()]).collect()
+}
 
 /// Values of every signal the mapping defines (primary inputs, constants
 /// and LUT roots) for 64 lanes, evaluated lane by lane.
