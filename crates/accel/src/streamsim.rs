@@ -22,7 +22,7 @@
 
 use crate::{build_datapath, build_datapath_cached, AccelError, AcceleratorSpec, Result};
 use clapped_imgproc::{ConvMode, Image};
-use clapped_netlist::{pack_bus_samples, transpose8x8, Netlist};
+use clapped_netlist::{pack_bus_samples, transpose8x8, FaultSet, Netlist};
 
 /// Words per wide evaluation block: every datapath evaluation carries
 /// `64 × BLOCK_WORDS` output positions.
@@ -252,7 +252,12 @@ fn run_pe_grid(
             }
         }
         datapath
-            .simulate_blocks_into::<BLOCK_WORDS>(&inputs, &mut scratch, &mut outs)
+            .simulate_blocks_into::<BLOCK_WORDS>(
+                &inputs,
+                &FaultSet::empty(),
+                &mut scratch,
+                &mut outs,
+            )
             .map_err(sim_err)?;
         clapped_obs::count("accel.streamsim.evals", 1);
         clapped_obs::count("accel.streamsim.lanes_active", chunk as u64);
@@ -507,13 +512,15 @@ mod tests {
         let img = Image::synthetic(SynthKind::Gradient, 16, 16, 2);
         let spec = AcceleratorSpec::uniform_2d(16, 3, &m);
         let first = simulate_stream(&spec, &img, kernel.coeffs_2d(), kernel.shift()).unwrap();
-        let before = crate::datapath_cache_stats();
+        // The memo's counters are process-wide and other tests bump them
+        // concurrently, so pin this spec's own entry instead: warm frames
+        // must keep reading the very netlist the first frame built.
+        let built = build_datapath_cached(&spec, kernel.shift()).unwrap();
         for _ in 0..3 {
             let again = simulate_stream(&spec, &img, kernel.coeffs_2d(), kernel.shift()).unwrap();
             assert_eq!(first, again);
         }
-        let after = crate::datapath_cache_stats();
-        assert_eq!(after.misses, before.misses, "warm frames must not rebuild the datapath");
-        assert!(after.hits >= before.hits + 3);
+        let warm = build_datapath_cached(&spec, kernel.shift()).unwrap();
+        assert!(Arc::ptr_eq(&built, &warm), "warm frames must not rebuild the datapath");
     }
 }

@@ -56,15 +56,15 @@ pub use arch::{ComposedSpec, MulArch};
 pub use catalog::{Catalog, CatalogError, PAPER_ALIASES};
 pub use booth::booth_reference;
 pub use drum::drum_reference;
-pub use fault::{build_mul_table_with_faults, FaultedMul};
+pub use fault::FaultedMul;
 pub use gen::{
     gen_cache_in_memory, gen_cache_with_disk, spec_digest, table_digest, GenBuildStats, GenEntry,
     GenFeatures, GenRecord, GenSpace, GenSpec, GenerativeCatalog, GEN_FEATURE_DIM,
 };
 pub use logmul::mitchell_reference;
 pub use table::{
-    build_mul_table, build_mul_table_cached, build_mul_table_ref64, exhaustive_pairs,
-    table_cache_stats,
+    build_mul_table, build_mul_table_cached, build_mul_table_ref64, build_mul_table_with_faults,
+    exhaustive_pairs, table_cache_stats,
 };
 
 use clapped_netlist::Netlist;

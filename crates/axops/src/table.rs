@@ -9,7 +9,9 @@
 //! process ever**, and all operator instances share one allocation.
 
 use clapped_exec::{Memo, MemoStats};
-use clapped_netlist::{pack_bus_samples, transpose8x8, unpack_bus_samples, Netlist};
+use clapped_netlist::{
+    pack_bus_samples, transpose8x8, unpack_bus_samples, FaultSet, Netlist, NetlistError,
+};
 use std::sync::{Arc, OnceLock};
 
 /// Iterates over all 65 536 signed 8-bit input pairs, `a` outermost.
@@ -31,6 +33,18 @@ pub fn exhaustive_pairs() -> impl Iterator<Item = (i8, i8)> {
 /// The netlist must have inputs `a[0..8]` then `b[0..8]` and a 16-bit
 /// signed product output. Table index is `(a as u8) << 8 | (b as u8)`.
 ///
+/// # Panics
+///
+/// Panics if the netlist interface does not match (wrong input/output
+/// arity).
+pub fn build_mul_table(netlist: &Netlist) -> Vec<i16> {
+    build_mul_table_with_faults(netlist, &FaultSet::empty())
+        .unwrap_or_else(|e| panic!("not an 8×8 multiplier netlist: {e}"))
+}
+
+/// Builds the 256×256 product table of a multiplier netlist simulated
+/// under `faults`; [`build_mul_table`] is its empty-fault-set case.
+///
 /// The exhaustive sweep has exploitable structure at this width: within
 /// each 256-lane quarter of a block the `a` byte is constant (each bit
 /// broadcasts to all-zeros or all-ones per quarter) and the `b` byte
@@ -39,16 +53,29 @@ pub fn exhaustive_pairs() -> impl Iterator<Item = (i8, i8)> {
 /// writes per pass instead of per-lane packing, the evaluation scratch
 /// is reused across all 64 passes, and the product rows are unpacked
 /// from the output bitplanes eight lanes at a time through
-/// [`transpose8x8`]. Bit-identical to [`build_mul_table_ref64`], which
-/// is pinned by tests over the whole standard catalog.
+/// [`transpose8x8`]. The fault masks are applied by the simulation
+/// kernel as each faulted net is computed. Bit-identical to
+/// [`build_mul_table_ref64`] of the same netlist with every stuck net
+/// tied to its constant, which is pinned by tests over the whole
+/// standard catalog.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the netlist interface does not match (wrong input/output
-/// arity).
-pub fn build_mul_table(netlist: &Netlist) -> Vec<i16> {
-    assert_eq!(netlist.inputs().len(), 16, "expected 16 inputs (a, b)");
-    assert_eq!(netlist.outputs().len(), 16, "expected a 16-bit product");
+/// Returns [`NetlistError::InputCountMismatch`] or
+/// [`NetlistError::OutputCountMismatch`] if the netlist does not have 16
+/// inputs and 16 outputs, and [`NetlistError::InvalidFaultSite`] for an
+/// out-of-range fault site.
+pub fn build_mul_table_with_faults(
+    netlist: &Netlist,
+    faults: &FaultSet,
+) -> clapped_netlist::Result<Vec<i16>> {
+    let (n_in, n_out) = (netlist.inputs().len(), netlist.outputs().len());
+    if n_in != 16 {
+        return Err(NetlistError::InputCountMismatch { expected: 16, found: n_in });
+    }
+    if n_out != 16 {
+        return Err(NetlistError::OutputCountMismatch { expected: 16, found: n_out });
+    }
     const W: usize = 16;
     const LANES: usize = 64 * W;
     // Words per 256-lane quarter (one `a` value spans one quarter).
@@ -76,9 +103,7 @@ pub fn build_mul_table(netlist: &Netlist) -> Vec<i16> {
                 input[sub * QW..(sub + 1) * QW].fill(word);
             }
         }
-        netlist
-            .simulate_blocks_into::<W>(&inputs, &mut scratch, &mut outs)
-            .expect("operator netlist interface verified above");
+        netlist.simulate_blocks_into::<W>(&inputs, faults, &mut scratch, &mut outs)?;
         // Rebuild the product rows from the 16 output bitplanes, eight
         // lanes per transpose (low byte from planes 0..8, high from
         // 8..16).
@@ -107,7 +132,7 @@ pub fn build_mul_table(netlist: &Netlist) -> Vec<i16> {
             }
         }
     }
-    table
+    Ok(table)
 }
 
 /// The retained 64-lane reference table builder: per-batch `Vec`
@@ -201,6 +226,26 @@ mod tests {
         let p = bus::baugh_wooley_mul(&mut n, &a, &b);
         n.output_bus("p", &p);
         assert_eq!(build_mul_table(&n), build_mul_table_ref64(&n));
+    }
+
+    #[test]
+    fn faulted_builder_rejects_wrong_arity() {
+        let mut n = Netlist::new("mul4");
+        let a = n.input_bus("a", 4);
+        let b = n.input_bus("b", 4);
+        let p = bus::baugh_wooley_mul(&mut n, &a, &b);
+        n.output_bus("p", &p);
+        let err = build_mul_table_with_faults(&n, &FaultSet::empty()).unwrap_err();
+        assert_eq!(err, NetlistError::InputCountMismatch { expected: 16, found: 8 });
+
+        // Right inputs, but only the low byte of the product comes out.
+        let mut n = Netlist::new("mul8_lo");
+        let a = n.input_bus("a", 8);
+        let b = n.input_bus("b", 8);
+        let p = bus::baugh_wooley_mul(&mut n, &a, &b);
+        n.output_bus("p", &p[..8]);
+        let err = build_mul_table_with_faults(&n, &FaultSet::empty()).unwrap_err();
+        assert_eq!(err, NetlistError::OutputCountMismatch { expected: 16, found: 8 });
     }
 
     #[test]

@@ -20,16 +20,6 @@
 //!    the absolute-difference bits). The pass is budget-limited and
 //!    falls back to the interval bound when the node limit trips
 //!    (counted on `bdd.budget_exhausted`).
-//!
-//! The same abstract domain powers static fault-site masking
-//! ([`StuckAtObservability`]): a per-site forward D-propagation decides
-//! whether a stuck-at corruption can possibly reach a primary output,
-//! letting fault campaigns skip provably invisible sites. The
-//! propagation is deliberately per-site — a global backward
-//! observability pass is unsound under reconvergent constant fanout
-//! (two "blocked" edges can unblock each other once the shared constant
-//! itself is the fault site), which the test suite pins with a
-//! counterexample.
 
 // lint-allow-file(hash-containers): the congruence key table and the
 // complement map are keyed lookups, never iterated; class ids are
@@ -620,153 +610,6 @@ pub fn abstract_values(netlist: &Netlist) -> Vec<AbsVal> {
     vals
 }
 
-// ------------------------------------------------------------------
-// Static fault-site masking: per-site forward D-propagation
-// ------------------------------------------------------------------
-
-/// Per-netlist precomputation for static stuck-at observability
-/// queries.
-///
-/// A site is *statically skippable* when a stuck-at fault there
-/// provably cannot change any primary output: either the fault forces
-/// the net to the value it already always has, or the forward
-/// D-propagation of "possibly changed" signals never reaches an
-/// output. Blocking uses ternary-proved constants on *unchanged*
-/// siblings only — a sibling inside the changed set can never block,
-/// which is exactly the reconvergence hazard a global backward pass
-/// gets wrong.
-pub struct StuckAtObservability<'a> {
-    netlist: &'a Netlist,
-    vals: Vec<AbsVal>,
-    is_output: Vec<bool>,
-}
-
-impl<'a> StuckAtObservability<'a> {
-    /// Runs the abstract-interpretation prepass for `netlist`.
-    pub fn new(netlist: &'a Netlist) -> StuckAtObservability<'a> {
-        let vals = abstract_values(netlist);
-        let mut is_output = vec![false; netlist.len()];
-        for (_, s) in netlist.outputs() {
-            is_output[s.index()] = true;
-        }
-        StuckAtObservability {
-            netlist,
-            vals,
-            is_output,
-        }
-    }
-
-    /// The abstract values computed by the prepass.
-    pub fn values(&self) -> &[AbsVal] {
-        &self.vals
-    }
-
-    fn proved_const(&self, s: SignalId, changed: &[bool]) -> Option<bool> {
-        if changed[s.index()] {
-            return None;
-        }
-        match self.vals[s.index()] {
-            AbsVal::Const(c) => Some(c),
-            AbsVal::Class(_) => None,
-        }
-    }
-
-    /// Unchanged signals with equal abstract values are provably equal
-    /// in both the golden and the faulty circuit.
-    fn proved_same(&self, a: SignalId, b: SignalId, changed: &[bool]) -> bool {
-        !changed[a.index()] && !changed[b.index()] && self.vals[a.index()] == self.vals[b.index()]
-    }
-
-    /// True when a stuck-at-`stuck_value` fault at `site` can possibly
-    /// change some primary output; `false` proves the site invisible.
-    pub fn is_observable(&self, site: SignalId, stuck_value: bool) -> bool {
-        let idx = site.index();
-        if idx >= self.netlist.len() {
-            return false;
-        }
-        // Forcing a net to its proved always-value is a no-op fault.
-        if self.vals[idx] == AbsVal::Const(stuck_value) {
-            return false;
-        }
-        let mut changed = vec![false; self.netlist.len()];
-        changed[idx] = true;
-        if self.is_output[idx] {
-            return true;
-        }
-        for (i, gate) in self.netlist.gates().iter().enumerate().skip(idx + 1) {
-            let d = self.gate_changed(gate, &changed);
-            if d {
-                changed[i] = true;
-                if self.is_output[i] {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    fn gate_changed(&self, gate: &Gate, changed: &[bool]) -> bool {
-        let ch = |s: SignalId| changed[s.index()];
-        match *gate {
-            Gate::Input { .. } | Gate::Const(_) => false,
-            Gate::Buf(a) | Gate::Not(a) => ch(a),
-            Gate::And(a, b) | Gate::Nand(a, b) => {
-                (ch(a) || ch(b))
-                    && self.proved_const(a, changed) != Some(false)
-                    && self.proved_const(b, changed) != Some(false)
-            }
-            Gate::Or(a, b) | Gate::Nor(a, b) => {
-                (ch(a) || ch(b))
-                    && self.proved_const(a, changed) != Some(true)
-                    && self.proved_const(b, changed) != Some(true)
-            }
-            Gate::Xor(a, b) | Gate::Xnor(a, b) => ch(a) || ch(b),
-            Gate::Mux { sel, t, f } => match self.proved_const(sel, changed) {
-                Some(true) => ch(t),
-                Some(false) => ch(f),
-                None => {
-                    if ch(sel) {
-                        // A changed select is invisible only when both
-                        // branches are provably the same unchanged value.
-                        !self.proved_same(t, f, changed) || ch(t) || ch(f)
-                    } else {
-                        ch(t) || ch(f)
-                    }
-                }
-            },
-            Gate::Maj(a, b, c) => {
-                if !(ch(a) || ch(b) || ch(c)) {
-                    return false;
-                }
-                // An unchanged agreeing pair decides the output alone.
-                if self.proved_same(a, b, changed)
-                    || self.proved_same(a, c, changed)
-                    || self.proved_same(b, c, changed)
-                {
-                    return false;
-                }
-                // An unchanged constant reduces Maj to OR/AND of the rest.
-                let fanins = [a, b, c];
-                for (i, &x) in fanins.iter().enumerate() {
-                    if let Some(v) = self.proved_const(x, changed) {
-                        let mut rest = fanins.iter().enumerate().filter(|&(j, _)| j != i);
-                        let (y, z) = match (rest.next(), rest.next()) {
-                            (Some((_, &y)), Some((_, &z))) => (y, z),
-                            // Unreachable: a 3-input gate always has two others.
-                            _ => return true,
-                        };
-                        let blocking = Some(!v);
-                        return (ch(y) || ch(z))
-                            && self.proved_const(y, changed) != blocking
-                            && self.proved_const(z, changed) != blocking;
-                    }
-                }
-                true
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -932,68 +775,5 @@ mod tests {
         assert_eq!(vals[same.index()], AbsVal::Const(false));
         assert_eq!(vals[taut.index()], AbsVal::Const(true));
         assert_eq!(vals[merged_a.index()], vals[x.index()]);
-    }
-
-    #[test]
-    fn observability_skips_blocked_and_noop_sites() {
-        let mut n = Netlist::new("obs");
-        let x = n.input("x");
-        let y = n.input("y");
-        let zero = n.constant(false);
-        let blocked = n.and(x, zero); // always 0; x's path is dead
-        let live = n.or(blocked, y);
-        n.output("o", live);
-        let obs = StuckAtObservability::new(&n);
-        // `blocked` is proved const-0: stuck-at-0 there is a no-op...
-        assert!(!obs.is_observable(blocked, false));
-        // ...but stuck-at-1 flows into the OR and is visible.
-        assert!(obs.is_observable(blocked, true));
-        // x only feeds the AND whose sibling is proved 0: invisible
-        // for either polarity.
-        assert!(!obs.is_observable(x, false));
-        assert!(!obs.is_observable(x, true));
-        // y reaches the output directly.
-        assert!(obs.is_observable(y, true));
-    }
-
-    #[test]
-    fn reconvergent_constant_fanout_is_not_wrongly_skipped() {
-        // c = 0 feeds BOTH inputs of an AND through buffers. A naive
-        // backward pass calls each edge blocked by the other's proved
-        // constant; the per-site forward pass must keep the site.
-        let mut n = Netlist::new("reconv");
-        let _x = n.input("x"); // keep an input so simulation is meaningful
-        let c = n.constant(false);
-        let a = n.buf(c);
-        let b = n.buf(c);
-        let g = n.and(a, b);
-        n.output("g", g);
-        let obs = StuckAtObservability::new(&n);
-        // stuck-at-1 at c flips both AND legs in every assignment:
-        // the output provably changes, so the site must be simulated.
-        assert!(obs.is_observable(c, true));
-        // stuck-at-0 is the no-op polarity.
-        assert!(!obs.is_observable(c, false));
-    }
-
-    #[test]
-    fn mux_and_maj_masking_rules() {
-        let mut n = Netlist::new("m");
-        let x = n.input("x");
-        let y = n.input("y");
-        let one = n.constant(true);
-        let zero = n.constant(false);
-        // Mux with proved-const select: only the taken branch is live.
-        let m = n.mux(one, x, y);
-        n.output("m", m);
-        // Maj with an unchanged agreeing constant pair: third input dead.
-        let mj = n.maj(zero, zero, y);
-        n.output("mj", mj);
-        let obs = StuckAtObservability::new(&n);
-        assert!(obs.is_observable(x, true), "selected branch is live");
-        // y's only paths: the un-selected mux branch and the
-        // const-pair-decided maj — both provably invisible.
-        assert!(!obs.is_observable(y, true));
-        assert!(!obs.is_observable(y, false));
     }
 }

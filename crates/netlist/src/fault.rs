@@ -158,32 +158,11 @@ pub struct CampaignReport {
     pub sites: Vec<FaultSiteReport>,
     /// Total samples (lanes) simulated per site.
     pub samples: usize,
-    /// How many of `sites` were actually simulated. Sites proven dead by
-    /// the cone-of-influence analysis (see [`CampaignOptions::skip_dead`])
-    /// are reported with zero impact without running the simulator, so
-    /// this can be smaller than `sites.len()`.
+    /// How many of `sites` were actually simulated. Sites on nets
+    /// outside every primary output's cone-of-influence are reported with
+    /// zero impact without running the simulator, so this can be smaller
+    /// than `sites.len()`.
     pub simulated_sites: usize,
-}
-
-/// Tuning knobs for a stuck-at campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CampaignOptions {
-    /// Skip simulating fault sites on signals outside every primary
-    /// output's cone-of-influence (computed by
-    /// [`crate::lint::live_cone`]). A stuck-at on a dead net cannot
-    /// change any output, so its report — zero mismatch rate, zero
-    /// weighted error — is emitted directly. Rankings are bit-identical
-    /// to the full campaign; only the work shrinks.
-    pub skip_dead: bool,
-    /// Skip simulating fault sites the error-cone analysis proves
-    /// unobservable ([`crate::errbound::StuckAtObservability`]): the
-    /// stuck value equals the net's proved constant (a no-op fault), or
-    /// the per-site forward D-propagation shows the corruption blocked
-    /// from every primary output by proved-constant siblings. Strictly
-    /// subsumes `skip_dead` (a dead site's corruption reaches no
-    /// output), and like it provably preserves every per-site report
-    /// bit-for-bit — only [`CampaignReport::simulated_sites`] drops.
-    pub skip_masked: bool,
 }
 
 /// `num / den`, or 0 when nothing was measured (`den == 0`: no samples
@@ -247,30 +226,23 @@ impl Netlist {
     /// Runs a stuck-at campaign over `sites`, driving every batch in
     /// `input_batches` (each batch is one `eval_words` input vector
     /// carrying up to 64 lane samples; `lanes_per_batch` says how many
-    /// lanes of each batch are meaningful).
+    /// lanes of each batch are meaningful), with the sweep fanned out
+    /// over `engine`'s thread pool.
     ///
-    /// # Errors
+    /// Sites on nets outside every output's cone-of-influence
+    /// ([`crate::lint::live_cone`]) are reported with zero impact
+    /// without simulation: no path carries the forced value to an
+    /// output, so that is exactly what the simulator would report.
+    /// [`CampaignReport::simulated_sites`] counts the sweeps that ran.
     ///
-    /// See [`Netlist::eval_words_with_faults`].
-    pub fn stuck_at_campaign(
-        &self,
-        sites: &[Fault],
-        input_batches: &[Vec<u64>],
-        lanes_per_batch: usize,
-    ) -> crate::Result<CampaignReport> {
-        self.stuck_at_campaign_with(
-            sites,
-            input_batches,
-            lanes_per_batch,
-            &clapped_exec::Engine::serial(),
-        )
-    }
-
-    /// [`Netlist::stuck_at_campaign`] with the per-site sweep fanned out
-    /// over `engine`'s thread pool. Each site's simulation is an
-    /// independent pure function of the netlist and inputs, and results
-    /// are collected in site order, so the report is bit-identical to
-    /// the serial campaign at any thread count.
+    /// The sweep runs on the wide-word simulator: batches are packed
+    /// into [`CAMPAIGN_BLOCK_WORDS`]-word blocks once, shared by every
+    /// site, and the work fans out over `engine` as
+    /// `(site, batch-chunk)` shards. All mismatch statistics are
+    /// accumulated as exact integers and folded in a fixed order, so
+    /// every site report is bit-identical to
+    /// [`Netlist::stuck_at_campaign_ref`] at any thread count and any
+    /// chunking.
     ///
     /// # Errors
     ///
@@ -281,42 +253,6 @@ impl Netlist {
         input_batches: &[Vec<u64>],
         lanes_per_batch: usize,
         engine: &clapped_exec::Engine,
-    ) -> crate::Result<CampaignReport> {
-        self.stuck_at_campaign_with_options(
-            sites,
-            input_batches,
-            lanes_per_batch,
-            engine,
-            CampaignOptions::default(),
-        )
-    }
-
-    /// [`Netlist::stuck_at_campaign_with`] with explicit
-    /// [`CampaignOptions`]. With `skip_dead` set, sites on nets outside
-    /// every output cone are reported as zero-impact without simulation
-    /// — provably the result the simulator would produce, since no path
-    /// carries the forced value to an output. [`CampaignReport::simulated_sites`]
-    /// counts the sweeps that actually ran.
-    ///
-    /// Internally the sweep runs on the wide-word simulator
-    /// ([`Netlist::simulate_blocks_with_faults`]): batches are packed
-    /// into [`CAMPAIGN_BLOCK_WORDS`]-word blocks once, shared by every
-    /// site, and the work fans out over `engine` as
-    /// `(site, batch-chunk)` shards. All mismatch statistics are
-    /// accumulated as exact integers and folded in a fixed order, so
-    /// the report is bit-identical to [`Netlist::stuck_at_campaign_ref`]
-    /// at any thread count and any chunking.
-    ///
-    /// # Errors
-    ///
-    /// See [`Netlist::eval_words_with_faults`].
-    pub fn stuck_at_campaign_with_options(
-        &self,
-        sites: &[Fault],
-        input_batches: &[Vec<u64>],
-        lanes_per_batch: usize,
-        engine: &clapped_exec::Engine,
-        options: CampaignOptions,
     ) -> crate::Result<CampaignReport> {
         const W: usize = CAMPAIGN_BLOCK_WORDS;
         assert!((1..=64).contains(&lanes_per_batch), "1..=64 lanes per batch");
@@ -386,31 +322,9 @@ impl Netlist {
         let max_weight: f64 = (0..out_bits).map(|k| (k as f64).exp2()).sum();
         let samples = input_batches.len() * lanes_per_batch;
 
-        let live = if options.skip_dead { Some(crate::lint::live_cone(self)) } else { None };
-        let obs = if options.skip_masked {
-            Some(crate::errbound::StuckAtObservability::new(self))
-        } else {
-            None
-        };
-        let keep: Vec<bool> = sites
-            .iter()
-            .map(|f| {
-                if let Some(live) = &live {
-                    if !live[f.signal.index()] {
-                        return false;
-                    }
-                }
-                if let Some(obs) = &obs {
-                    let stuck_value = matches!(f.kind, FaultKind::StuckAt1);
-                    if !obs.is_observable(f.signal, stuck_value) {
-                        return false;
-                    }
-                }
-                true
-            })
-            .collect();
+        let live = crate::lint::live_cone(self);
         let sim_sites: Vec<Fault> =
-            sites.iter().copied().zip(&keep).filter(|&(_, &k)| k).map(|(f, _)| f).collect();
+            sites.iter().copied().filter(|f| live[f.signal.index()]).collect();
         let simulated_sites = sim_sites.len();
 
         // Shard the sweep over (site, batch-chunk) jobs so both many
@@ -461,35 +375,24 @@ impl Netlist {
             });
         }
 
-        // Re-interleave simulated and skipped sites in injection order.
-        let sites_out = if keep.iter().all(|&k| k) {
-            site_reports
-        } else {
-            let mut simulated = site_reports.into_iter();
-            sites
-                .iter()
-                .zip(&keep)
-                .map(|(&fault, &kept)| {
-                    if kept {
-                        simulated.next().unwrap_or(FaultSiteReport {
-                            fault,
-                            mismatch_rate: 0.0,
-                            weighted_error: 0.0,
-                        })
-                    } else {
-                        FaultSiteReport { fault, mismatch_rate: 0.0, weighted_error: 0.0 }
-                    }
-                })
-                .collect()
-        };
+        // Re-interleave simulated and dead sites in injection order.
+        let mut simulated = site_reports.into_iter();
+        let sites_out = sites
+            .iter()
+            .map(|&fault| {
+                let report = if live[fault.signal.index()] { simulated.next() } else { None };
+                report.unwrap_or(FaultSiteReport { fault, mismatch_rate: 0.0, weighted_error: 0.0 })
+            })
+            .collect();
         Ok(CampaignReport { sites: sites_out, samples, simulated_sites })
     }
 
     /// The retained 64-way serial reference campaign: one
     /// [`Netlist::simulate_words_with_faults`] pass per site per batch,
-    /// statistics accumulated batch by batch. The wide sharded
-    /// campaign above is pinned bit-identical to this path by the
-    /// property tests and benchmarked against it in `bench_sim`.
+    /// statistics accumulated batch by batch, every site simulated. The
+    /// site reports of the wide sharded campaign above are pinned
+    /// bit-identical to this path by the property tests and benchmarked
+    /// against it in `bench_sim`.
     ///
     /// # Errors
     ///
@@ -725,7 +628,8 @@ mod tests {
         let sites = n.fault_sites();
         // Exhaustive 8-combination batch.
         let batch = vec![0b11110000u64, 0b11001100, 0b10101010];
-        let report = n.stuck_at_campaign(&sites, &[batch], 8).unwrap();
+        let report =
+            n.stuck_at_campaign_with(&sites, &[batch], 8, &clapped_exec::Engine::serial()).unwrap();
         assert_eq!(report.samples, 8);
         // The output net stuck at the wrong polarity must corrupt at
         // least as much as any single input fault.
@@ -751,7 +655,9 @@ mod tests {
         let b_words = pack_bus_samples(&pairs.iter().map(|p| p.1).collect::<Vec<_>>(), 2);
         let mut batch = a_words;
         batch.extend(b_words);
-        let report = n.stuck_at_campaign(&n.fault_sites(), &[batch], 16).unwrap();
+        let report = n
+            .stuck_at_campaign_with(&n.fault_sites(), &[batch], 16, &clapped_exec::Engine::serial())
+            .unwrap();
         // Faulting the carry-out (highest-weight output) must outrank
         // faulting the LSB sum bit.
         let cout_sig = n.outputs().last().unwrap().1;
@@ -781,7 +687,9 @@ mod tests {
         let mut batch = a_words;
         batch.extend(b_words);
         let sites = n.fault_sites();
-        let serial = n.stuck_at_campaign(&sites, &[batch.clone()], 16).unwrap();
+        let serial = n
+            .stuck_at_campaign_with(&sites, &[batch.clone()], 16, &clapped_exec::Engine::serial())
+            .unwrap();
         for jobs in [2, 8] {
             let engine = clapped_exec::Engine::new(clapped_exec::ExecConfig::with_jobs(jobs));
             let par = n.stuck_at_campaign_with(&sites, &[batch.clone()], 16, &engine).unwrap();
@@ -807,7 +715,8 @@ mod tests {
     fn skip_dead_matches_full_campaign_with_fewer_sweeps() {
         // An adder plus two gates outside the output cone: skipping the
         // dead cone must leave every site report and the ranking
-        // bit-identical while counting fewer simulated sweeps.
+        // bit-identical to the full reference campaign while counting
+        // fewer simulated sweeps.
         let mut n = Netlist::new("deadwood");
         let a = n.input_bus("a", 2);
         let b = n.input_bus("b", 2);
@@ -822,24 +731,9 @@ mod tests {
         let mut batch = a_words;
         batch.extend(b_words);
         let sites = n.fault_sites();
-        let engine = clapped_exec::Engine::serial();
-        let full = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[batch.clone()],
-                16,
-                &engine,
-                CampaignOptions { skip_dead: false, ..CampaignOptions::default() },
-            )
-            .unwrap();
+        let full = n.stuck_at_campaign_ref(&sites, &[batch.clone()], 16).unwrap();
         let skipped = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[batch.clone()],
-                16,
-                &engine,
-                CampaignOptions { skip_dead: true, ..CampaignOptions::default() },
-            )
+            .stuck_at_campaign_with(&sites, &[batch.clone()], 16, &clapped_exec::Engine::serial())
             .unwrap();
         assert_eq!(full.sites, skipped.sites, "per-site reports must be bit-identical");
         assert_eq!(full.ranked_sites(), skipped.ranked_sites());
@@ -848,97 +742,8 @@ mod tests {
         assert_eq!(skipped.simulated_sites, sites.len() - 4);
         // The parallel engine gives the same skipped report.
         let engine8 = clapped_exec::Engine::new(clapped_exec::ExecConfig::with_jobs(8));
-        let par = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[batch],
-                16,
-                &engine8,
-                CampaignOptions { skip_dead: true, ..CampaignOptions::default() },
-            )
-            .unwrap();
+        let par = n.stuck_at_campaign_with(&sites, &[batch], 16, &engine8).unwrap();
         assert_eq!(skipped, par);
-    }
-
-    #[test]
-    fn skip_masked_matches_full_campaign_with_fewer_sweeps() {
-        // A circuit with statically provable masking beyond dead-cone
-        // analysis: `x` only reaches the output through an AND whose
-        // sibling is a proved constant 0, and `gated`'s stuck-at-0 is a
-        // no-op on a net proved always-0. All sites are *live* (inside
-        // the output cone), so skip_dead removes nothing, while the
-        // D-propagation masking must prune measurably — with every
-        // report and ranking bit-identical to the unmasked reference.
-        let mut n = Netlist::new("masked");
-        let x = n.input("x");
-        let y = n.input("y");
-        let zero = n.constant(false);
-        let gated = n.and(x, zero); // proved const 0
-        let out = n.or(gated, y);
-        n.output("o", out);
-        let sites = n.fault_sites();
-        let batch = vec![0b1100u64, 0b1010u64];
-        let engine = clapped_exec::Engine::serial();
-        let full = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[batch.clone()],
-                4,
-                &engine,
-                CampaignOptions::default(),
-            )
-            .unwrap();
-        let masked = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[batch.clone()],
-                4,
-                &engine,
-                CampaignOptions { skip_dead: false, skip_masked: true },
-            )
-            .unwrap();
-        assert_eq!(full.sites, masked.sites, "reports must be bit-identical");
-        assert_eq!(full.ranked_sites(), masked.ranked_sites());
-        assert_eq!(full.simulated_sites, sites.len());
-        // Provably skipped: x stuck-at-0/1 (blocked by the const-0
-        // sibling), zero stuck-at-0 and gated stuck-at-0 (no-op
-        // polarity on proved-0 nets).
-        assert!(
-            masked.simulated_sites <= sites.len() - 4,
-            "expected a measurable drop, got {}/{}",
-            masked.simulated_sites,
-            sites.len()
-        );
-        // Masking composes with skip_dead and parallel execution.
-        let engine8 = clapped_exec::Engine::new(clapped_exec::ExecConfig::with_jobs(8));
-        let both = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[batch],
-                4,
-                &engine8,
-                CampaignOptions { skip_dead: true, skip_masked: true },
-            )
-            .unwrap();
-        assert_eq!(full.sites, both.sites);
-        assert_eq!(both.simulated_sites, masked.simulated_sites);
-    }
-
-    #[test]
-    fn skip_dead_still_reports_invalid_sites() {
-        let n = xor_chain();
-        let mut sites = n.fault_sites();
-        sites.insert(1, Fault { signal: SignalId::from_index(99), kind: FaultKind::StuckAt0 });
-        let err = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[vec![0b1010, 0b0110]],
-                4,
-                &clapped_exec::Engine::serial(),
-                CampaignOptions { skip_dead: true, ..CampaignOptions::default() },
-            )
-            .unwrap_err();
-        assert!(matches!(err, NetlistError::InvalidFaultSite { index: 99, .. }));
     }
 
     #[test]
@@ -947,9 +752,7 @@ mod tests {
         let n = xor_chain();
         let sites = n.fault_sites();
         let engine = clapped_exec::Engine::new(clapped_exec::ExecConfig::with_jobs(2));
-        let wide = n
-            .stuck_at_campaign_with_options(&sites, &[], 64, &engine, CampaignOptions::default())
-            .unwrap();
+        let wide = n.stuck_at_campaign_with(&sites, &[], 64, &engine).unwrap();
         let reference = n.stuck_at_campaign_ref(&sites, &[], 64).unwrap();
         assert_eq!(wide, reference);
         assert_eq!(wide.samples, 0);
@@ -962,11 +765,11 @@ mod tests {
         let _ = n.not(a);
         let sites = n.fault_sites();
         let batches = [vec![0b1010u64]];
-        let wide = n
-            .stuck_at_campaign_with_options(&sites, &batches, 4, &engine, CampaignOptions::default())
-            .unwrap();
+        let wide = n.stuck_at_campaign_with(&sites, &batches, 4, &engine).unwrap();
         let reference = n.stuck_at_campaign_ref(&sites, &batches, 4).unwrap();
-        assert_eq!(wide, reference);
+        assert_eq!(wide.sites, reference.sites);
+        // Without outputs every net is dead: nothing is simulated.
+        assert_eq!(wide.simulated_sites, 0);
         assert!(wide.sites.iter().all(|s| s.mismatch_rate == 0.0 && s.weighted_error == 0.0));
     }
 

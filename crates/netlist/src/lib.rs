@@ -55,11 +55,10 @@ pub mod verilog;
 
 pub use errbound::{
     abstract_values, analyze as analyze_error_bounds, AbsVal, ErrBoundConfig, ErrorBounds,
-    ExactError, StuckAtObservability,
+    ExactError,
 };
 pub use fault::{
-    CampaignOptions, CampaignReport, Fault, FaultKind, FaultSet, FaultSiteReport,
-    CAMPAIGN_BLOCK_WORDS,
+    CampaignReport, Fault, FaultKind, FaultSet, FaultSiteReport, CAMPAIGN_BLOCK_WORDS,
 };
 pub use ir::{Gate, Netlist, SignalId};
 pub use lint::{lint_netlist, live_cone, NetlistStats, StructFinding, StructReport, StructSeverity};
@@ -128,12 +127,12 @@ pub enum NetlistError {
         /// Number of signals in the netlist.
         signals: usize,
     },
-    /// Two netlists compared by the error-bound analyzer declare
-    /// different output counts.
+    /// A netlist does not have the number of outputs required: the
+    /// error-bound analyzer's reference, or an operator interface.
     OutputCountMismatch {
-        /// Number of outputs in the reference netlist.
+        /// Number of outputs required.
         expected: usize,
-        /// Number of outputs in the netlist under analysis.
+        /// Number of outputs the netlist has.
         found: usize,
     },
 }

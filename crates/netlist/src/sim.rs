@@ -252,6 +252,37 @@ impl Netlist {
         input_blocks: &[[u64; W]],
         faults: &FaultSet,
     ) -> crate::Result<Vec<[u64; W]>> {
+        let mut vals = Vec::new();
+        self.eval_blocks_masked(input_blocks, &self.fault_masks(faults)?, &mut vals)?;
+        Ok(vals)
+    }
+
+    /// Zero-allocation streaming variant: evaluates the primary outputs
+    /// under `faults` into `outputs`, reusing `scratch` for the
+    /// per-signal values. Repeated calls with the same buffers never
+    /// reallocate them, and an empty fault set allocates nothing — this
+    /// is the inner loop of table derivation (healthy and faulted) and
+    /// frame simulation.
+    ///
+    /// # Errors
+    ///
+    /// See [`Netlist::eval_words_with_faults`].
+    pub fn simulate_blocks_into<const W: usize>(
+        &self,
+        input_blocks: &[[u64; W]],
+        faults: &FaultSet,
+        scratch: &mut Vec<[u64; W]>,
+        outputs: &mut Vec<[u64; W]>,
+    ) -> crate::Result<()> {
+        self.eval_blocks_masked(input_blocks, &self.fault_masks(faults)?, scratch)?;
+        outputs.clear();
+        outputs.extend(self.outputs().iter().map(|(_, s)| scratch[s.index()]));
+        Ok(())
+    }
+
+    /// Validates `faults` against this netlist and returns its mask
+    /// entries sorted by signal index, as the kernel expects.
+    fn fault_masks(&self, faults: &FaultSet) -> crate::Result<Vec<(usize, u64, u64, u64)>> {
         if let Some(max) = faults.max_index() {
             if max >= self.len() {
                 return Err(NetlistError::InvalidFaultSite { index: max, signals: self.len() });
@@ -259,29 +290,7 @@ impl Netlist {
         }
         let mut masks = faults.entries().to_vec();
         masks.sort_unstable_by_key(|e| e.0);
-        let mut vals = Vec::new();
-        self.eval_blocks_masked(input_blocks, &masks, &mut vals)?;
-        Ok(vals)
-    }
-
-    /// Zero-allocation streaming variant: evaluates the primary outputs
-    /// into `outputs`, reusing `scratch` for the per-signal values.
-    /// Repeated calls with the same buffers never reallocate — this is
-    /// the inner loop of table derivation and frame simulation.
-    ///
-    /// # Errors
-    ///
-    /// See [`Netlist::eval_blocks`].
-    pub fn simulate_blocks_into<const W: usize>(
-        &self,
-        input_blocks: &[[u64; W]],
-        scratch: &mut Vec<[u64; W]>,
-        outputs: &mut Vec<[u64; W]>,
-    ) -> crate::Result<()> {
-        self.eval_blocks_masked(input_blocks, &[], scratch)?;
-        outputs.clear();
-        outputs.extend(self.outputs().iter().map(|(_, s)| scratch[s.index()]));
-        Ok(())
+        Ok(masks)
     }
 
     /// The simulation kernel: one pass over the gate list with `masks` —
@@ -631,12 +640,20 @@ mod tests {
         let inputs = [[1u64; 4], [2u64; 4], [4u64; 4]];
         let mut scratch = Vec::new();
         let mut outs = Vec::new();
-        n.simulate_blocks_into(&inputs, &mut scratch, &mut outs).unwrap();
+        let none = FaultSet::empty();
+        n.simulate_blocks_into(&inputs, &none, &mut scratch, &mut outs).unwrap();
         let expect = n.simulate_blocks(&inputs).unwrap();
         assert_eq!(outs, expect);
         let (sp, op) = (scratch.as_ptr(), outs.as_ptr());
-        n.simulate_blocks_into(&inputs, &mut scratch, &mut outs).unwrap();
+        n.simulate_blocks_into(&inputs, &none, &mut scratch, &mut outs).unwrap();
         assert_eq!(outs, expect);
+        assert_eq!((sp, op), (scratch.as_ptr(), outs.as_ptr()), "no reallocation");
+        // Faults go through the same buffers and match the allocating path.
+        let faults = FaultSet::empty()
+            .transient(SignalId::from_index(4), 0b1010)
+            .stuck_at(SignalId::from_index(3), FaultKind::StuckAt1);
+        n.simulate_blocks_into(&inputs, &faults, &mut scratch, &mut outs).unwrap();
+        assert_eq!(outs, n.simulate_blocks_with_faults(&inputs, &faults).unwrap());
         assert_eq!((sp, op), (scratch.as_ptr(), outs.as_ptr()), "no reallocation");
     }
 

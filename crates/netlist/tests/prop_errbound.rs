@@ -1,14 +1,10 @@
 //! Property tests pinning the static error-bound analyzer sound against
 //! exhaustive simulation on random logic: interval/exact worst-case
 //! error bounds dominate observed errors, the exact tier's mismatch
-//! count equals the simulated count, congruence classes are
-//! semantically real, and every fault site the observability pass skips
-//! provably never changes an output.
+//! count equals the simulated count, and congruence classes are
+//! semantically real.
 
-use clapped_netlist::{
-    abstract_values, analyze_error_bounds, AbsVal, CampaignOptions, ErrBoundConfig, FaultKind,
-    FaultSet, Netlist, SignalId, StuckAtObservability,
-};
+use clapped_netlist::{abstract_values, analyze_error_bounds, AbsVal, ErrBoundConfig, Netlist};
 use proptest::prelude::*;
 
 /// Builds a random DAG of gates over `n_inputs` inputs from an opcode
@@ -141,73 +137,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Every fault site the static observability pass skips is provably
-    /// invisible: injecting the stuck-at over the exhaustive input space
-    /// never changes any primary output.
-    #[test]
-    fn unobservable_sites_never_change_outputs(
-        ops in proptest::collection::vec(any::<u8>(), 4..40),
-    ) {
-        let n = random_netlist(N_IN, &ops);
-        let obs = StuckAtObservability::new(&n);
-        let words = exhaustive_words();
-        let clean = n.simulate_words(&words).expect("simulates");
-        let mask: u64 = (1u64 << PATTERNS) - 1;
-        let mut skipped = 0usize;
-        for i in 0..n.len() {
-            for (kind, stuck) in [(FaultKind::StuckAt0, false), (FaultKind::StuckAt1, true)] {
-                let sig = SignalId::from_index(i);
-                if obs.is_observable(sig, stuck) {
-                    continue;
-                }
-                skipped += 1;
-                let faults = FaultSet::empty().stuck_at(sig, kind);
-                let faulted = n.simulate_words_with_faults(&words, &faults).expect("simulates");
-                for (k, (&c, &f)) in clean.iter().zip(&faulted).enumerate() {
-                    prop_assert_eq!(c & mask, f & mask,
-                        "skipped site {}/{:?} changes output {}", i, kind, k);
-                }
-            }
-        }
-        // The pass always skips something on these netlists: at minimum
-        // every no-op polarity of an input-fed gate cone's constants —
-        // but never require it for tiny fully-live netlists.
-        let _ = skipped;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// A campaign with observability masking returns bit-identical
-    /// reports and rankings to the unmasked reference on random logic,
-    /// while simulating no more sites.
-    #[test]
-    fn masked_campaign_matches_unmasked(
-        ops in proptest::collection::vec(any::<u8>(), 4..40),
-        batches in proptest::collection::vec(
-            proptest::collection::vec(any::<u64>(), N_IN), 1..=4),
-    ) {
-        let n = random_netlist(N_IN, &ops);
-        let sites = n.fault_sites();
-        let engine = clapped_exec::Engine::serial();
-        let full = n
-            .stuck_at_campaign_with_options(
-                &sites, &batches, 64, &engine,
-                CampaignOptions { skip_dead: false, ..CampaignOptions::default() },
-            )
-            .expect("full campaign");
-        let masked = n
-            .stuck_at_campaign_with_options(
-                &sites, &batches, 64, &engine,
-                CampaignOptions { skip_masked: true, skip_dead: false, ..CampaignOptions::default() },
-            )
-            .expect("masked campaign");
-        prop_assert_eq!(&full.sites, &masked.sites);
-        prop_assert_eq!(full.samples, masked.samples);
-        prop_assert_eq!(full.ranked_sites(), masked.ranked_sites());
-        prop_assert!(masked.simulated_sites <= full.simulated_sites);
     }
 }
